@@ -80,6 +80,9 @@ void BM_SegmentSealCompression(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentSealCompression)->Arg(64)->Arg(256)->Arg(4096);
 
+/// fold = 0: SegmentCursor, every column decoded and each record
+/// materialized (the foreign-bytes path).  fold = 1: the range queries'
+/// Segment::fold over timestamp, current and energy only.
 void BM_SegmentDecode(benchmark::State& state) {
   const auto records =
       workload(static_cast<std::size_t>(state.range(0)), 2, "dev-1");
@@ -88,16 +91,28 @@ void BM_SegmentDecode(benchmark::State& state) {
     builder.append(r);
   }
   const store::Segment seg = builder.seal();
+  const bool fold = state.range(1) != 0;
   for (auto _ : state) {
-    store::SegmentCursor cur = seg.cursor();
-    while (auto rec = cur.next()) {
-      benchmark::DoNotOptimize(*rec);
+    if (fold) {
+      std::int64_t energy_q = 0;
+      const bool clean = seg.fold<0>([&energy_q](const store::StoredRecord& r) {
+        energy_q += r.energy_q;
+      });
+      benchmark::DoNotOptimize(clean);
+      benchmark::DoNotOptimize(energy_q);
+    } else {
+      store::SegmentCursor cur = seg.cursor();
+      while (auto rec = cur.next()) {
+        benchmark::DoNotOptimize(*rec);
+      }
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_SegmentDecode)->Arg(256)->Arg(4096);
+BENCHMARK(BM_SegmentDecode)
+    ->ArgNames({"records", "fold"})
+    ->ArgsProduct({{256, 4096}, {0, 1}});
 
 // -- Ingest throughput --------------------------------------------------------
 
@@ -171,6 +186,35 @@ void BM_TsdbRangeAggregate(benchmark::State& state) {
       static_cast<double>(db.stats().summary_hits);
 }
 BENCHMARK(BM_TsdbRangeAggregate);
+
+void BM_TsdbTrailingAggregate(benchmark::State& state) {
+  // The dashboard read: a trailing 10 s aggregate at 10 Hz over a device
+  // whose open head holds 60 records, so the window takes those plus the
+  // last 40 of one straddled sealed segment (4 sealed segments of 256
+  // before it).  network_filter = 1 adds the per-network dashboard's
+  // filter.  Items are the 100 in-window records.
+  static store::Tsdb db{store::TsdbOptions{1, 256}};
+  static const std::vector<core::ConsumptionRecord> records = [] {
+    auto out = workload(4 * 256 + 60, 20, "dev-1");
+    for (const auto& r : out) {
+      db.ingest(r);
+    }
+    return out;
+  }();
+  const std::int64_t t1 = records.back().timestamp_ns + 1;
+  const std::int64_t t0 = records[records.size() - 100].timestamp_ns;
+  store::RecordFilter filter;
+  if (state.range(0) != 0) {
+    filter.network = "wan-1";
+  }
+  for (auto _ : state) {
+    auto agg = db.aggregate("dev-1", t0, t1, filter);
+    benchmark::DoNotOptimize(agg);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          100);
+}
+BENCHMARK(BM_TsdbTrailingAggregate)->ArgName("network_filter")->Arg(0)->Arg(1);
 
 void BM_TsdbWindowScan(benchmark::State& state) {
   // The aggregator's verification-window read: 1 s of live records.

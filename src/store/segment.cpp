@@ -10,22 +10,6 @@ namespace {
 constexpr std::uint32_t kSegmentMagic = 0x31475345;
 constexpr std::uint8_t kSegmentVersion = 1;
 
-/// Column order inside a sealed segment.
-enum Column : std::size_t {
-  kColTimestamps = 0,
-  kColSequences = 1,
-  kColIntervals = 2,
-  kColCurrents = 3,
-  kColVoltages = 4,
-  kColEnergies = 5,
-  kColNetworks = 6,
-  kColFlags = 7,
-  kColumnCount = 8,
-};
-
-constexpr std::uint8_t kFlagTemporary = 0x1;
-constexpr std::uint8_t kFlagOffline = 0x2;
-
 }  // namespace
 
 const char* to_string(SegmentFault f) noexcept {
@@ -184,127 +168,27 @@ std::vector<ConsumptionRecord> Segment::decode_all() const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Cursor (lazy decode)
-// ---------------------------------------------------------------------------
-
-SegmentCursor::SegmentCursor(const Segment& segment)
-    : segment_(&segment),
-      timestamps_(column(kColTimestamps)),
-      sequences_(column(kColSequences)),
-      intervals_(column(kColIntervals)),
-      currents_(column(kColCurrents)),
-      voltages_(column(kColVoltages)),
-      energies_(column(kColEnergies)),
-      networks_(column(kColNetworks)),
-      flags_(column(kColFlags)) {}
-
-util::ByteReader SegmentCursor::column(std::size_t index) const {
-  const auto& span = segment_->columns_[index];
-  return util::ByteReader{std::span<const std::uint8_t>(
-      segment_->bytes_.data() + span.offset, span.length)};
+const NetworkId* Segment::find_network(
+    const NetworkId& network) const noexcept {
+  const auto it = std::find(dictionary_.begin(), dictionary_.end(), network);
+  return it == dictionary_.end() ? nullptr : &*it;
 }
+
+// ---------------------------------------------------------------------------
+// Cursor (record-at-a-time decode over SegmentDecoder<kAll>)
+// ---------------------------------------------------------------------------
 
 std::optional<ConsumptionRecord> SegmentCursor::next() {
   if (done()) {
     return std::nullopt;
   }
-  const auto fail = [this](const char* what) -> std::optional<ConsumptionRecord> {
+  if (!decoder_.next()) {
     error_ = SegmentError{SegmentFault::kCorrupt,
-                          std::string(what) + " column exhausted at record " +
-                              std::to_string(decoded_)};
-    return std::nullopt;
-  };
-
-  // Timestamps: raw, then delta, then delta-of-delta.
-  const auto ts = timestamps_.try_zigzag();
-  if (!ts) {
-    return fail("timestamp");
-  }
-  if (decoded_ == 0) {
-    last_ts_ = *ts;
-  } else if (decoded_ == 1) {
-    last_ts_delta_ = *ts;
-    last_ts_ += last_ts_delta_;
-  } else {
-    last_ts_delta_ += *ts;
-    last_ts_ += last_ts_delta_;
-  }
-
-  // Sequences: raw first value, then signed deltas.
-  if (decoded_ == 0) {
-    const auto seq = sequences_.try_varint();
-    if (!seq) {
-      return fail("sequence");
-    }
-    last_seq_ = *seq;
-  } else {
-    const auto d = sequences_.try_zigzag();
-    if (!d) {
-      return fail("sequence");
-    }
-    last_seq_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(last_seq_) + *d);
-  }
-
-  const auto decode_delta = [this](util::ByteReader& r,
-                                   std::int64_t& last) -> bool {
-    const auto v = r.try_zigzag();
-    if (!v) {
-      return false;
-    }
-    last = decoded_ == 0 ? *v : last + *v;
-    return true;
-  };
-  if (!decode_delta(intervals_, last_interval_)) {
-    return fail("interval");
-  }
-  if (!decode_delta(currents_, last_current_q_)) {
-    return fail("current");
-  }
-  if (!decode_delta(voltages_, last_voltage_q_)) {
-    return fail("voltage");
-  }
-  if (!decode_delta(energies_, last_energy_q_)) {
-    return fail("energy");
-  }
-
-  const auto net_idx = networks_.try_varint();
-  if (!net_idx) {
-    return fail("network");
-  }
-  if (*net_idx >= segment_->dictionary_.size()) {
-    error_ = SegmentError{SegmentFault::kCorrupt,
-                          "network index " + std::to_string(*net_idx) +
-                              " outside dictionary"};
+                          std::string(decoder_.failure()) + " at record " +
+                              std::to_string(decoder_.decoded())};
     return std::nullopt;
   }
-
-  if (decoded_ % 4 == 0) {
-    const auto packed = flags_.try_u8();
-    if (!packed) {
-      return fail("flags");
-    }
-    flags_byte_ = *packed;
-  }
-  const std::uint8_t flags =
-      (flags_byte_ >> ((decoded_ % 4) * 2)) & 0x3;
-
-  ConsumptionRecord rec;
-  rec.device_id = segment_->device_;
-  rec.sequence = last_seq_;
-  rec.timestamp_ns = last_ts_;
-  rec.interval_ns = last_interval_;
-  rec.current_ma = dequantize(last_current_q_, kCurrentScale);
-  rec.bus_voltage_mv = dequantize(last_voltage_q_, kVoltageScale);
-  rec.energy_mwh = dequantize(last_energy_q_, kEnergyScale);
-  rec.network = segment_->dictionary_[static_cast<std::size_t>(*net_idx)];
-  rec.membership = (flags & kFlagTemporary) != 0
-                       ? core::MembershipKind::kTemporary
-                       : core::MembershipKind::kHome;
-  rec.stored_offline = (flags & kFlagOffline) != 0;
-  ++decoded_;
-  return rec;
+  return decoder_.record().materialize(segment_->device());
 }
 
 // ---------------------------------------------------------------------------
@@ -386,55 +270,53 @@ std::size_t SegmentBuilder::open_bytes() const noexcept {
 }
 
 ConsumptionRecord SegmentBuilder::record_at(std::size_t i) const {
-  ConsumptionRecord rec;
-  rec.device_id = device_;
-  rec.sequence = sequences_[i];
+  StoredRecord rec;
   rec.timestamp_ns = timestamps_[i];
+  rec.current_q = currents_q_[i];
+  rec.energy_q = energies_q_[i];
+  rec.network = &dictionary_[network_ids_[i]];
+  rec.flags = flags_[i];
+  rec.sequence = sequences_[i];
   rec.interval_ns = intervals_[i];
-  rec.current_ma = dequantize(currents_q_[i], kCurrentScale);
-  rec.bus_voltage_mv = dequantize(voltages_q_[i], kVoltageScale);
-  rec.energy_mwh = dequantize(energies_q_[i], kEnergyScale);
-  rec.network = dictionary_[network_ids_[i]];
-  rec.membership = (flags_[i] & kFlagTemporary) != 0
-                       ? core::MembershipKind::kTemporary
-                       : core::MembershipKind::kHome;
-  rec.stored_offline = (flags_[i] & kFlagOffline) != 0;
-  return rec;
+  rec.voltage_q = voltages_q_[i];
+  return rec.materialize(device_);
 }
 
 Segment SegmentBuilder::seal() {
   const SegmentSummary s = summary();
   const std::size_t n = timestamps_.size();
 
-  util::ByteWriter cols[kColumnCount];
+  util::ByteWriter cols[Segment::kColumnCount];
   std::int64_t prev_ts = 0;
   std::int64_t prev_ts_delta = 0;
   for (std::size_t i = 0; i < n; ++i) {
     // Timestamps: raw, delta, then delta-of-delta.
     if (i == 0) {
-      cols[kColTimestamps].zigzag(timestamps_[0]);
+      cols[Segment::kColTimestamps].zigzag(timestamps_[0]);
     } else {
       const std::int64_t delta = timestamps_[i] - prev_ts;
-      cols[kColTimestamps].zigzag(i == 1 ? delta : delta - prev_ts_delta);
+      cols[Segment::kColTimestamps].zigzag(i == 1 ? delta
+                                                  : delta - prev_ts_delta);
       prev_ts_delta = delta;
     }
     prev_ts = timestamps_[i];
 
     if (i == 0) {
-      cols[kColSequences].varint(sequences_[0]);
-      cols[kColIntervals].zigzag(intervals_[0]);
-      cols[kColCurrents].zigzag(currents_q_[0]);
-      cols[kColVoltages].zigzag(voltages_q_[0]);
-      cols[kColEnergies].zigzag(energies_q_[0]);
+      cols[Segment::kColSequences].varint(sequences_[0]);
+      cols[Segment::kColIntervals].zigzag(intervals_[0]);
+      cols[Segment::kColCurrents].zigzag(currents_q_[0]);
+      cols[Segment::kColVoltages].zigzag(voltages_q_[0]);
+      cols[Segment::kColEnergies].zigzag(energies_q_[0]);
     } else {
-      cols[kColSequences].zigzag(static_cast<std::int64_t>(sequences_[i]) -
-                                 static_cast<std::int64_t>(sequences_[i - 1]));
-      cols[kColIntervals].zigzag(intervals_[i] - intervals_[i - 1]);
-      cols[kColCurrents].zigzag(currents_q_[i] - currents_q_[i - 1]);
-      cols[kColVoltages].zigzag(voltages_q_[i] - voltages_q_[i - 1]);
-      cols[kColEnergies].zigzag(energies_q_[i] - energies_q_[i - 1]);
+      cols[Segment::kColSequences].zigzag(
+          static_cast<std::int64_t>(sequences_[i]) -
+          static_cast<std::int64_t>(sequences_[i - 1]));
+      cols[Segment::kColIntervals].zigzag(intervals_[i] - intervals_[i - 1]);
+      cols[Segment::kColCurrents].zigzag(currents_q_[i] - currents_q_[i - 1]);
+      cols[Segment::kColVoltages].zigzag(voltages_q_[i] - voltages_q_[i - 1]);
+      cols[Segment::kColEnergies].zigzag(energies_q_[i] - energies_q_[i - 1]);
     }
-    cols[kColNetworks].varint(network_ids_[i]);
+    cols[Segment::kColNetworks].varint(network_ids_[i]);
   }
   for (std::size_t i = 0; i < n; i += 4) {
     std::uint8_t packed = 0;
@@ -442,7 +324,7 @@ Segment SegmentBuilder::seal() {
       packed = static_cast<std::uint8_t>(packed |
                                          ((flags_[i + j] & 0x3) << (j * 2)));
     }
-    cols[kColFlags].u8(packed);
+    cols[Segment::kColFlags].u8(packed);
   }
 
   util::ByteWriter w;
@@ -466,14 +348,14 @@ Segment SegmentBuilder::seal() {
     w.varint(sub.records);
     w.zigzag(sub.energy_q_sum);
   }
-  w.u8(kColumnCount);
+  w.u8(Segment::kColumnCount);
   Segment seg;
   seg.device_ = device_;
   seg.summary_ = s;
   seg.dictionary_ = dictionary_;
-  seg.columns_.reserve(kColumnCount);
+  seg.columns_.reserve(Segment::kColumnCount);
   // Column offsets are only known as we lay the blocks down.
-  for (std::size_t c = 0; c < kColumnCount; ++c) {
+  for (std::size_t c = 0; c < Segment::kColumnCount; ++c) {
     const auto& bytes = cols[c].bytes();
     w.u32(static_cast<std::uint32_t>(bytes.size()));
     seg.columns_.push_back(Segment::ColumnSpan{w.size(), bytes.size()});

@@ -21,9 +21,30 @@
 // Every sealed segment carries a summary block (count, time range, per-column
 // min/max/sum, per-network record/energy subtotals) so range queries can
 // prune whole segments and aggregate queries can be answered without
-// decoding.  Parsing foreign bytes never throws: `Segment::parse` returns a
-// typed `SegmentError` (util::ByteReader try_* API underneath), and the lazy
-// decoding cursor surfaces mid-stream corruption the same way.
+// decoding.
+//
+// Column-selective decode.  Every column is its own byte stream, so one
+// decoder (SegmentDecoder) reads only the columns its template mask names.
+// The Tsdb range fold (store/tsdb.hpp) decodes, per query kind:
+//
+//   aggregate, current_stats, downsample   timestamp, current, energy
+//     + network filter                     + network
+//     + stored_offline filter              + flags
+//   network_breakdown (straddlers only)    timestamp, current, energy, network
+//   scan                                   all eight (it materializes records)
+//
+// A network filter naming a network absent from a segment's dictionary
+// skips that segment without decoding it.  SegmentCursor is the all-columns
+// case of the same decoder.
+//
+// Corruption contract.  Parsing foreign bytes never throws: `Segment::parse`
+// returns a typed `SegmentError` (util::ByteReader try_* API underneath),
+// and SegmentCursor surfaces mid-stream corruption the same way.  Queries
+// fold self-sealed segments through `Segment::fold`, which stops at the
+// first column that runs dry (or at an out-of-dictionary index) without
+// reading past it or folding an invented record, and reports only that it
+// stopped; foreign bytes that need a reason go through `Segment::parse` +
+// SegmentCursor.
 
 #include <cmath>
 #include <cstdint>
@@ -62,6 +83,63 @@ inline constexpr double kEnergyToleranceMwh = 0.5 / kEnergyScale;
 [[nodiscard]] inline double dequantize(std::int64_t q, double scale) noexcept {
   return static_cast<double>(q) / scale;
 }
+
+// -- Stored record form ----------------------------------------------------------
+
+/// Per-record flag bits, shared by the sealed flags column and the Tsdb's
+/// open head chunk.
+inline constexpr std::uint8_t kFlagTemporary = 0x1;
+inline constexpr std::uint8_t kFlagOffline = 0x2;
+
+/// Column masks for SegmentDecoder / Segment::fold / the Tsdb range fold.
+/// Timestamp, current and energy are always decoded; a mask adds the rest.
+namespace columns {
+inline constexpr unsigned kNetwork = 0x1;  // dictionary index
+inline constexpr unsigned kFlags = 0x2;    // membership + offline bits
+inline constexpr unsigned kRest = 0x4;     // sequence, interval, voltage
+inline constexpr unsigned kAll = kNetwork | kFlags | kRest;
+}  // namespace columns
+
+/// One stored record as a range fold sees it: the quantized integers the
+/// columns hold.  Fields outside the decoded column mask stay zero/null.
+struct StoredRecord {
+  std::int64_t timestamp_ns = 0;
+  std::int64_t current_q = 0;
+  std::int64_t energy_q = 0;
+  /// Entry of the record's source dictionary (segment or head chunk);
+  /// columns::kNetwork.
+  const NetworkId* network = nullptr;
+  std::uint8_t flags = 0;  // columns::kFlags
+  // columns::kRest:
+  std::uint64_t sequence = 0;
+  std::int64_t interval_ns = 0;
+  std::int64_t voltage_q = 0;
+
+  /// Exactly the ConsumptionRecord fields the store hands back (dequantized).
+  [[nodiscard]] double current_ma() const noexcept {
+    return dequantize(current_q, kCurrentScale);
+  }
+  [[nodiscard]] double energy_mwh() const noexcept {
+    return dequantize(energy_q, kEnergyScale);
+  }
+  /// The full record; needs columns::kAll.
+  [[nodiscard]] ConsumptionRecord materialize(const DeviceId& device) const {
+    ConsumptionRecord rec;
+    rec.device_id = device;
+    rec.sequence = sequence;
+    rec.timestamp_ns = timestamp_ns;
+    rec.interval_ns = interval_ns;
+    rec.current_ma = current_ma();
+    rec.bus_voltage_mv = dequantize(voltage_q, kVoltageScale);
+    rec.energy_mwh = energy_mwh();
+    rec.network = *network;
+    rec.membership = (flags & kFlagTemporary) != 0
+                         ? core::MembershipKind::kTemporary
+                         : core::MembershipKind::kHome;
+    rec.stored_offline = (flags & kFlagOffline) != 0;
+    return rec;
+  }
+};
 
 // -- Typed parse/decode errors --------------------------------------------------
 
@@ -148,6 +226,8 @@ struct SegmentSummary {
 
 // -- Sealed segment --------------------------------------------------------------
 
+template <unsigned Columns>
+class SegmentDecoder;
 class SegmentCursor;
 
 /// An immutable, sealed segment: encoded bytes + the parsed summary.
@@ -174,6 +254,18 @@ class Segment {
   /// Lazy decoding cursor positioned at the first record.
   [[nodiscard]] SegmentCursor cursor() const;
 
+  /// Dictionary entry for `network`, or null when no record in this segment
+  /// carries it (a filtered fold then skips the segment undecoded).
+  [[nodiscard]] const NetworkId* find_network(
+      const NetworkId& network) const noexcept;
+
+  /// Calls `fn(const StoredRecord&)` for every record in storage order,
+  /// decoding only timestamp, current, energy and the `Columns` mask.
+  /// Returns false if a column stream stopped early — foreign bytes only;
+  /// the records before that point were folded, nothing after it.
+  template <unsigned Columns, typename Fn>
+  bool fold(Fn&& fn) const;
+
   /// Decodes every record.  Intended for self-produced segments; on a
   /// corrupt column stream it returns the records decoded so far (the cursor
   /// API exposes the typed error for untrusted input).
@@ -181,8 +273,27 @@ class Segment {
 
  private:
   friend class SegmentBuilder;
-  friend class SegmentCursor;
+  template <unsigned Columns>
+  friend class SegmentDecoder;
   Segment() = default;
+
+  /// Column order inside a sealed segment.
+  enum Column : std::size_t {
+    kColTimestamps = 0,
+    kColSequences = 1,
+    kColIntervals = 2,
+    kColCurrents = 3,
+    kColVoltages = 4,
+    kColEnergies = 5,
+    kColNetworks = 6,
+    kColFlags = 7,
+    kColumnCount = 8,
+  };
+  [[nodiscard]] util::ByteReader column(Column c) const noexcept {
+    const ColumnSpan& span = columns_[c];
+    return util::ByteReader{std::span<const std::uint8_t>(
+        bytes_.data() + span.offset, span.length)};
+  }
 
   DeviceId device_;
   SegmentSummary summary_;
@@ -196,32 +307,148 @@ class Segment {
   std::vector<NetworkId> dictionary_;
 };
 
-/// Streaming decoder over a sealed segment: `next()` yields records one at a
-/// time without materializing the whole segment; a corrupt column stream
-/// stops iteration and surfaces a typed error.
-class SegmentCursor {
+/// The one segment decoder: streams records in storage order, reading only
+/// the timestamp, current and energy columns plus the `Columns` mask.
+/// `next()` stops at end-of-segment or at the first column that runs dry (or
+/// an index outside the dictionary) — never reading past a column, never
+/// yielding a record it could not fully decode — and `failure()` names the
+/// column.  Inline so a fold's per-record callback compiles into the loop.
+template <unsigned Columns>
+class SegmentDecoder {
  public:
-  explicit SegmentCursor(const Segment& segment);
+  explicit SegmentDecoder(const Segment& segment) noexcept
+      : segment_(&segment),
+        timestamps_(segment.column(Segment::kColTimestamps)),
+        sequences_(segment.column(Segment::kColSequences)),
+        intervals_(segment.column(Segment::kColIntervals)),
+        currents_(segment.column(Segment::kColCurrents)),
+        voltages_(segment.column(Segment::kColVoltages)),
+        energies_(segment.column(Segment::kColEnergies)),
+        networks_(segment.column(Segment::kColNetworks)),
+        flags_(segment.column(Segment::kColFlags)) {}
 
-  /// Decodes the next record, or nullopt at end-of-segment / on error.
-  [[nodiscard]] std::optional<ConsumptionRecord> next();
+  /// Decodes the next record into record(); false at end-of-segment or on
+  /// a corrupt column stream (then failure() is set).
+  bool next() noexcept {
+    if (decoded_ == segment_->count() || failure_ != nullptr) {
+      return false;
+    }
+    // Timestamps: raw, then delta, then delta-of-delta (the delta starts at
+    // 0, so record 1's plain delta folds in through the same add).
+    const auto ts = timestamps_.try_zigzag();
+    if (!ts) {
+      return fail("timestamp column exhausted");
+    }
+    std::int64_t t = *ts;
+    std::int64_t ts_delta = ts_delta_;
+    if (decoded_ != 0) {
+      ts_delta = wrapping_add(ts_delta, *ts);
+      t = wrapping_add(rec_.timestamp_ns, ts_delta);
+    }
+    std::uint64_t seq = 0;
+    std::int64_t interval = 0;
+    if constexpr ((Columns & columns::kRest) != 0) {
+      // Sequences: raw first value, then signed deltas.
+      if (decoded_ == 0) {
+        const auto first = sequences_.try_varint();
+        if (!first) {
+          return fail("sequence column exhausted");
+        }
+        seq = *first;
+      } else {
+        const auto d = sequences_.try_zigzag();
+        if (!d) {
+          return fail("sequence column exhausted");
+        }
+        seq = rec_.sequence + static_cast<std::uint64_t>(*d);
+      }
+      if (!delta(intervals_, rec_.interval_ns, interval)) {
+        return fail("interval column exhausted");
+      }
+    }
+    std::int64_t current = 0;
+    if (!delta(currents_, rec_.current_q, current)) {
+      return fail("current column exhausted");
+    }
+    std::int64_t voltage = 0;
+    if constexpr ((Columns & columns::kRest) != 0) {
+      if (!delta(voltages_, rec_.voltage_q, voltage)) {
+        return fail("voltage column exhausted");
+      }
+    }
+    std::int64_t energy = 0;
+    if (!delta(energies_, rec_.energy_q, energy)) {
+      return fail("energy column exhausted");
+    }
+    const NetworkId* network = nullptr;
+    if constexpr ((Columns & columns::kNetwork) != 0) {
+      const auto index = networks_.try_varint();
+      if (!index) {
+        return fail("network column exhausted");
+      }
+      if (*index >= segment_->dictionary_.size()) {
+        return fail("network index outside dictionary");
+      }
+      network = &segment_->dictionary_[static_cast<std::size_t>(*index)];
+    }
+    std::uint8_t flags = 0;
+    if constexpr ((Columns & columns::kFlags) != 0) {
+      if (decoded_ % 4 == 0) {
+        const auto packed = flags_.try_u8();
+        if (!packed) {
+          return fail("flags column exhausted");
+        }
+        flags_byte_ = *packed;
+      }
+      flags = (flags_byte_ >> ((decoded_ % 4) * 2)) & 0x3;
+    }
+    // Every column decoded: only now does record() move on (it is also the
+    // running state the next record's deltas apply to).
+    ts_delta_ = ts_delta;
+    rec_.timestamp_ns = t;
+    rec_.current_q = current;
+    rec_.energy_q = energy;
+    rec_.network = network;
+    rec_.flags = flags;
+    rec_.sequence = seq;
+    rec_.interval_ns = interval;
+    rec_.voltage_q = voltage;
+    ++decoded_;
+    return true;
+  }
+
+  /// The last record next() decoded.
+  [[nodiscard]] const StoredRecord& record() const noexcept { return rec_; }
 
   [[nodiscard]] std::uint64_t decoded() const noexcept { return decoded_; }
-  [[nodiscard]] bool done() const noexcept {
-    return decoded_ == segment_->count() || error_.has_value();
-  }
-  /// Set iff iteration stopped on corruption rather than end-of-segment.
-  [[nodiscard]] const std::optional<SegmentError>& error() const noexcept {
-    return error_;
-  }
+  /// Set iff next() stopped on corruption rather than end-of-segment.
+  [[nodiscard]] const char* failure() const noexcept { return failure_; }
 
  private:
-  [[nodiscard]] util::ByteReader column(std::size_t index) const;
+  /// Two's-complement add: hostile deltas wrap instead of overflowing (UB).
+  static std::int64_t wrapping_add(std::int64_t a, std::int64_t b) noexcept {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+  }
+  /// Zigzag delta column: raw first value, then deltas off `last` (the
+  /// previous record's value, zero before the first).
+  static bool delta(util::ByteReader& r, std::int64_t last,
+                    std::int64_t& value) noexcept {
+    const auto v = r.try_zigzag();
+    if (!v) {
+      return false;
+    }
+    value = wrapping_add(last, *v);
+    return true;
+  }
+  bool fail(const char* what) noexcept {
+    failure_ = what;
+    return false;
+  }
 
   const Segment* segment_;
   std::uint64_t decoded_ = 0;
-  std::optional<SegmentError> error_;
-  // Per-column readers (indices match the Column enum in segment.cpp).
+  const char* failure_ = nullptr;
   util::ByteReader timestamps_;
   util::ByteReader sequences_;
   util::ByteReader intervals_;
@@ -230,15 +457,46 @@ class SegmentCursor {
   util::ByteReader energies_;
   util::ByteReader networks_;
   util::ByteReader flags_;
-  // Running decode state.
-  std::int64_t last_ts_ = 0;
-  std::int64_t last_ts_delta_ = 0;
-  std::uint64_t last_seq_ = 0;
-  std::int64_t last_interval_ = 0;
-  std::int64_t last_current_q_ = 0;
-  std::int64_t last_voltage_q_ = 0;
-  std::int64_t last_energy_q_ = 0;
+  StoredRecord rec_;
+  std::int64_t ts_delta_ = 0;
   std::uint8_t flags_byte_ = 0;
+};
+
+template <unsigned Columns, typename Fn>
+bool Segment::fold(Fn&& fn) const {
+  SegmentDecoder<Columns> decoder{*this};
+  while (decoder.next()) {
+    fn(decoder.record());
+  }
+  return decoder.failure() == nullptr;
+}
+
+/// Record-at-a-time cursor over a sealed segment: the all-columns case of
+/// SegmentDecoder, materializing each record.  A corrupt column stream stops
+/// iteration and surfaces a typed error (the contract for untrusted bytes).
+class SegmentCursor {
+ public:
+  explicit SegmentCursor(const Segment& segment)
+      : segment_(&segment), decoder_(segment) {}
+
+  /// Decodes the next record, or nullopt at end-of-segment / on error.
+  [[nodiscard]] std::optional<ConsumptionRecord> next();
+
+  [[nodiscard]] std::uint64_t decoded() const noexcept {
+    return decoder_.decoded();
+  }
+  [[nodiscard]] bool done() const noexcept {
+    return decoded() == segment_->count() || error_.has_value();
+  }
+  /// Set iff iteration stopped on corruption rather than end-of-segment.
+  [[nodiscard]] const std::optional<SegmentError>& error() const noexcept {
+    return error_;
+  }
+
+ private:
+  const Segment* segment_;
+  SegmentDecoder<columns::kAll> decoder_;
+  std::optional<SegmentError> error_;
 };
 
 // -- Builder ---------------------------------------------------------------------

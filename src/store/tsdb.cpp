@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace emon::store {
 
@@ -35,9 +37,6 @@ std::size_t fnv1a(const std::string& s) noexcept {
   }
   return static_cast<std::size_t>(h);
 }
-
-constexpr std::uint8_t kChunkFlagTemporary = 0x1;
-constexpr std::uint8_t kChunkFlagOffline = 0x2;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -83,26 +82,36 @@ struct Tsdb::HeadChunk {
   std::unique_ptr<NetworkId[]> dict;
   std::atomic<std::uint32_t> count{0};
 
-  /// Reconstructs record i (dequantized) — must mirror
-  /// SegmentBuilder::record_at exactly: sealing re-appends these records
-  /// into a SegmentBuilder, and the quantization round-trip
-  /// (quantize(dequantize(q)) == q) is what keeps the sealed bytes
-  /// bit-identical to sealing the original records.
-  [[nodiscard]] ConsumptionRecord record_at(std::uint32_t i) const {
-    ConsumptionRecord rec;
-    rec.device_id = device;
-    rec.sequence = sequences[i];
+  /// Record i in stored form, filling timestamp, current, energy and the
+  /// `Columns` mask — the head side of the range fold.  Reads dict only as
+  /// a pointer offset, never the slot itself.
+  template <unsigned Columns>
+  [[nodiscard]] StoredRecord stored(std::uint32_t i) const noexcept {
+    StoredRecord rec;
     rec.timestamp_ns = timestamps[i];
-    rec.interval_ns = intervals[i];
-    rec.current_ma = dequantize(currents_q[i], kCurrentScale);
-    rec.bus_voltage_mv = dequantize(voltages_q[i], kVoltageScale);
-    rec.energy_mwh = dequantize(energies_q[i], kEnergyScale);
-    rec.network = dict[network_ids[i]];
-    rec.membership = (flags[i] & kChunkFlagTemporary) != 0
-                         ? core::MembershipKind::kTemporary
-                         : core::MembershipKind::kHome;
-    rec.stored_offline = (flags[i] & kChunkFlagOffline) != 0;
+    rec.current_q = currents_q[i];
+    rec.energy_q = energies_q[i];
+    if constexpr ((Columns & columns::kNetwork) != 0) {
+      rec.network = dict.get() + network_ids[i];
+    }
+    if constexpr ((Columns & columns::kFlags) != 0) {
+      rec.flags = flags[i];
+    }
+    if constexpr ((Columns & columns::kRest) != 0) {
+      rec.sequence = sequences[i];
+      rec.interval_ns = intervals[i];
+      rec.voltage_q = voltages_q[i];
+    }
     return rec;
+  }
+
+  /// Reconstructs record i (dequantized) for sealing — the same
+  /// StoredRecord::materialize SegmentBuilder::record_at uses: sealing
+  /// re-appends these records into a SegmentBuilder, and the quantization
+  /// round-trip (quantize(dequantize(q)) == q) is what keeps the sealed
+  /// bytes bit-identical to sealing the original records.
+  [[nodiscard]] ConsumptionRecord record_at(std::uint32_t i) const {
+    return stored<columns::kAll>(i).materialize(device);
   }
 };
 
@@ -443,10 +452,10 @@ bool Tsdb::ingest(const ConsumptionRecord& record) {
   chunk->network_ids[i] = net_id;
   std::uint8_t f = 0;
   if (record.membership == core::MembershipKind::kTemporary) {
-    f |= kChunkFlagTemporary;
+    f |= kFlagTemporary;
   }
   if (record.stored_offline) {
-    f |= kChunkFlagOffline;
+    f |= kFlagOffline;
   }
   chunk->flags[i] = f;
   w.count = i + 1;
@@ -572,17 +581,17 @@ TsdbStats Tsdb::stats() const {
 // ---------------------------------------------------------------------------
 
 std::pair<std::size_t, std::size_t> Tsdb::sealed_overlap_range(
-    const SeriesView& view, std::int64_t t0_ns, std::int64_t t1_ns) {
+    const SeriesView& view, std::int64_t first_ns, std::int64_t last_ns) {
   const std::size_t n = view.sealed.size();
   if (!view.time_ordered || n == 0) {
     return {0, n};
   }
   // Both bound arrays are non-decreasing.  Segments before `lo` have
-  // t_max < t0 (no overlap); segments at/after `hi` have t_min >= t1.
+  // t_max < first (no overlap); segments at/after `hi` have t_min > last.
   const auto lo_it = std::lower_bound(view.seg_t_max.begin(),
-                                      view.seg_t_max.end(), t0_ns);
-  const auto hi_it = std::lower_bound(view.seg_t_min.begin(),
-                                      view.seg_t_min.end(), t1_ns);
+                                      view.seg_t_max.end(), first_ns);
+  const auto hi_it = std::upper_bound(view.seg_t_min.begin(),
+                                      view.seg_t_min.end(), last_ns);
   const auto lo = static_cast<std::size_t>(lo_it - view.seg_t_max.begin());
   const auto hi = static_cast<std::size_t>(hi_it - view.seg_t_min.begin());
   return {lo, std::max(lo, hi)};
@@ -633,41 +642,133 @@ std::optional<std::pair<std::int64_t, std::int64_t>> Tsdb::observed_bounds(
   return bounds;
 }
 
-void Tsdb::for_each_in_range(
-    SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-    const RecordFilter& filter,
-    const std::function<void(const ConsumptionRecord&)>& fn) const {
+template <unsigned Columns, typename OnRecord, typename OnSummary>
+void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
+                      std::int64_t last_ns, const RecordFilter& filter,
+                      OnSummary&& on_summary, OnRecord&& on_record) const {
   const SeriesView& view = *ref.view;
-  const auto in_range = [&](const ConsumptionRecord& r) {
-    return r.timestamp_ns >= t0_ns && r.timestamp_ns < t1_ns &&
-           filter.matches(r);
+  const std::size_t shard = ref.shard;
+  const auto in_range = [first_ns, last_ns](std::int64_t t) {
+    return t >= first_ns && t <= last_ns;
   };
-  // Time-ordered series: [lo, hi) is the only run the summaries allow to
-  // overlap, so everything outside it is pruned without touching a summary.
-  // Unordered series keep the linear walk (lo = 0, hi = n) and the
-  // per-segment check below does the pruning.
-  const auto [lo, hi] = sealed_overlap_range(view, t0_ns, t1_ns);
-  segments_pruned_.add(view.sealed.size() - (hi - lo), ref.shard);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Segment& seg = *view.sealed[i];
-    if (!seg.summary().overlaps(t0_ns, t1_ns)) {
-      segments_pruned_.add(1, ref.shard);
-      continue;
-    }
-    SegmentCursor cur = seg.cursor();
-    while (auto rec = cur.next()) {
-      if (in_range(*rec)) {
-        fn(*rec);
+  const auto offline_passes = [&filter](std::uint8_t flags) {
+    return !filter.stored_offline ||
+           ((flags & kFlagOffline) != 0) == *filter.stored_offline;
+  };
+  // The filter's columns join the query's own.  Each combination is its own
+  // instantiation, so no record loop tests or decodes a column it does not
+  // need.
+  const auto run = [&](auto mask) {
+    constexpr unsigned kColumns = decltype(mask)::value;
+    // Time-ordered series: [lo, hi) is the only run the summaries allow to
+    // overlap, so everything outside it is pruned without touching a
+    // summary.  Unordered series keep the linear walk (lo = 0, hi = n) and
+    // the per-segment check below does the pruning.
+    const auto [lo, hi] = sealed_overlap_range(view, first_ns, last_ns);
+    segments_pruned_.add(view.sealed.size() - (hi - lo), shard);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Segment& seg = *view.sealed[i];
+      const SegmentSummary& s = seg.summary();
+      if (s.t_min_ns > last_ns || s.t_max_ns < first_ns) {
+        segments_pruned_.add(1, shard);
+        continue;
       }
+      // A filtered network resolves to this segment's dictionary entry;
+      // records then match by pointer.  Absent: nothing here can match.
+      const NetworkId* want = nullptr;
+      if (filter.network) {
+        want = seg.find_network(*filter.network);
+        if (want == nullptr) {
+          segments_pruned_.add(1, shard);
+          continue;
+        }
+      }
+      if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<OnSummary>>) {
+        // Summaries hold no per-filter breakdowns, so the pre-aggregated
+        // answer is only good under an empty filter.
+        if (filter.empty() && s.t_min_ns >= first_ns &&
+            s.t_max_ns <= last_ns) {
+          summary_hits_.add(1, shard);
+          on_summary(s);
+          continue;
+        }
+      }
+      // Self-sealed bytes: the fold cannot stop early (Segment::fold's
+      // contract); a corrupt stream would just end this segment's records.
+      (void)seg.fold<kColumns>([&](const StoredRecord& r) {
+        if (!in_range(r.timestamp_ns)) {
+          return;
+        }
+        if constexpr ((kColumns & columns::kNetwork) != 0) {
+          if (want != nullptr && r.network != want) {
+            return;
+          }
+        }
+        if constexpr ((kColumns & columns::kFlags) != 0) {
+          if (!offline_passes(r.flags)) {
+            return;
+          }
+        }
+        on_record(r);
+      });
     }
-  }
-  const HeadChunk& head = *view.head;
-  for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
-    const ConsumptionRecord rec = head.record_at(i);
-    if (in_range(rec)) {
-      fn(rec);
+
+    // Visible head prefix, straight from the columns.  A network filter
+    // compares dict[id] only for ids visible records carry: the writer
+    // stores slot id before the count release that publishes the first
+    // record referencing it, and slots past the last such record may still
+    // be unwritten.
+    const HeadChunk& head = *view.head;
+    std::uint32_t seen_id = UINT32_MAX;
+    bool seen_match = false;
+    for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
+      if (!in_range(head.timestamps[i])) {
+        continue;
+      }
+      if constexpr ((kColumns & columns::kNetwork) != 0) {
+        if (filter.network) {
+          const std::uint32_t id = head.network_ids[i];
+          if (id != seen_id) {
+            seen_id = id;
+            seen_match = head.dict[id] == *filter.network;
+          }
+          if (!seen_match) {
+            continue;
+          }
+        }
+      }
+      if constexpr ((kColumns & columns::kFlags) != 0) {
+        if (!offline_passes(head.flags[i])) {
+          continue;
+        }
+      }
+      on_record(head.stored<kColumns>(i));
     }
+  };
+  using columns::kFlags;
+  using columns::kNetwork;
+  if (filter.network && filter.stored_offline) {
+    run(std::integral_constant<unsigned, Columns | kNetwork | kFlags>{});
+  } else if (filter.network) {
+    run(std::integral_constant<unsigned, Columns | kNetwork>{});
+  } else if (filter.stored_offline) {
+    run(std::integral_constant<unsigned, Columns | kFlags>{});
+  } else {
+    run(std::integral_constant<unsigned, Columns>{});
   }
+}
+
+template <unsigned Columns, typename OnRecord, typename OnSummary>
+void Tsdb::fold_half_open(SeriesRef ref, std::int64_t t0_ns,
+                          std::int64_t t1_ns, const RecordFilter& filter,
+                          OnSummary&& on_summary, OnRecord&& on_record) const {
+  if (t1_ns <= t0_ns) {
+    segments_pruned_.add(ref.view->sealed.size(), ref.shard);
+    return;
+  }
+  fold_range<Columns>(ref, t0_ns, t1_ns - 1, filter,
+                      std::forward<OnSummary>(on_summary),
+                      std::forward<OnRecord>(on_record));
 }
 
 std::vector<ConsumptionRecord> Tsdb::scan(const DeviceId& device,
@@ -683,8 +784,10 @@ std::vector<ConsumptionRecord> Tsdb::scan(SeriesRef ref, std::int64_t t0_ns,
                                           const RecordFilter& filter) const {
   std::vector<ConsumptionRecord> out;
   if (ref) {
-    for_each_in_range(ref, t0_ns, t1_ns, filter,
-                      [&out](const ConsumptionRecord& r) { out.push_back(r); });
+    const DeviceId& device = ref.view->head->device;
+    fold_half_open<columns::kAll>(
+        ref, t0_ns, t1_ns, filter, nullptr,
+        [&](const StoredRecord& r) { out.push_back(r.materialize(device)); });
   }
   return out;
 }
@@ -758,18 +861,18 @@ std::vector<WindowAggregate> Tsdb::downsample(SeriesRef ref, std::int64_t t0_ns,
     out[i].start_ns = static_cast<std::int64_t>(
         static_cast<std::uint64_t>(t0c) + static_cast<std::uint64_t>(i) * uw);
   }
-  for_each_in_range(
-      ref, t0c, t1c, filter,
-      [&](const ConsumptionRecord& r) {
+  fold_half_open<0>(
+      ref, t0c, t1c, filter, nullptr, [&](const StoredRecord& r) {
         const auto w = static_cast<std::size_t>(
             (static_cast<std::uint64_t>(r.timestamp_ns) -
              static_cast<std::uint64_t>(t0c)) /
             uw);
+        const double current_ma = r.current_ma();
         auto& agg = out[w];
         agg.count += 1;
-        current_sums[w] += r.current_ma;
-        agg.max_current_ma = std::max(agg.max_current_ma, r.current_ma);
-        agg.sum_energy_mwh += r.energy_mwh;
+        current_sums[w] += current_ma;
+        agg.max_current_ma = std::max(agg.max_current_ma, current_ma);
+        agg.sum_energy_mwh += r.energy_mwh();
       });
   for (std::size_t i = 0; i < n_windows; ++i) {
     if (out[i].count > 0) {
@@ -795,8 +898,8 @@ std::optional<DeviceAggregate> Tsdb::aggregate(SeriesRef ref,
   if (!ref) {
     return std::nullopt;
   }
-  const SeriesView& view = *ref.view;
-  const std::size_t shard = ref.shard;
+  // Folds quantized integers throughout (summary blocks, sealed columns and
+  // head columns alike), dequantizing once at the end.
   DeviceAggregate agg;
   std::int64_t current_q_sum = 0;
   std::int64_t energy_q_sum = 0;
@@ -824,54 +927,16 @@ std::optional<DeviceAggregate> Tsdb::aggregate(SeriesRef ref,
     current_q_sum += q_cur_sum;
     energy_q_sum += q_energy_sum;
   };
-
-  const auto fold_record = [&](const ConsumptionRecord& r) {
-    const std::int64_t q_cur = quantize(r.current_ma, kCurrentScale);
-    const std::int64_t q_energy = quantize(r.energy_mwh, kEnergyScale);
-    fold_quantized(1, r.timestamp_ns, r.timestamp_ns, q_cur, q_cur, q_cur,
-                   q_energy);
-  };
-  const auto in_range = [&](const ConsumptionRecord& r) {
-    return r.timestamp_ns >= t0_ns && r.timestamp_ns < t1_ns &&
-           filter.matches(r);
-  };
-
-  const auto [lo, hi] = sealed_overlap_range(view, t0_ns, t1_ns);
-  segments_pruned_.add(view.sealed.size() - (hi - lo), shard);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Segment& seg = *view.sealed[i];
-    const SegmentSummary& s = seg.summary();
-    if (!s.overlaps(t0_ns, t1_ns)) {
-      segments_pruned_.add(1, shard);
-      continue;
-    }
-    if (filter.empty() && s.contained_in(t0_ns, t1_ns)) {
-      // Pre-aggregated answer: no decode needed.  A non-empty filter must
-      // decode even fully-covered segments (summaries hold no per-filter
-      // breakdowns), so the fast path is gated on filter.empty().
-      summary_hits_.add(1, shard);
-      fold_quantized(s.count, s.t_min_ns, s.t_max_ns, s.current_q_min,
-                     s.current_q_max, s.current_q_sum, s.energy_q_sum);
-      continue;
-    }
-    SegmentCursor cur = seg.cursor();
-    while (auto rec = cur.next()) {
-      if (in_range(*rec)) {
-        fold_record(*rec);
-      }
-    }
-  }
-  // Visible head prefix: fold the stored quantized columns directly (the
-  // same integers fold_record would recompute through the round-trip).
-  const HeadChunk& head = *view.head;
-  for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
-    const ConsumptionRecord rec = head.record_at(i);
-    if (in_range(rec)) {
-      fold_quantized(1, rec.timestamp_ns, rec.timestamp_ns,
-                     head.currents_q[i], head.currents_q[i],
-                     head.currents_q[i], head.energies_q[i]);
-    }
-  }
+  fold_half_open<0>(
+      ref, t0_ns, t1_ns, filter,
+      [&](const SegmentSummary& s) {
+        fold_quantized(s.count, s.t_min_ns, s.t_max_ns, s.current_q_min,
+                       s.current_q_max, s.current_q_sum, s.energy_q_sum);
+      },
+      [&](const StoredRecord& r) {
+        fold_quantized(1, r.timestamp_ns, r.timestamp_ns, r.current_q,
+                       r.current_q, r.current_q, r.energy_q);
+      });
 
   if (agg.count == 0) {
     return std::nullopt;
@@ -896,9 +961,9 @@ util::RunningStats Tsdb::current_stats(SeriesRef ref, std::int64_t t0_ns,
                                        const RecordFilter& filter) const {
   util::RunningStats stats;
   if (ref) {
-    for_each_in_range(
-        ref, t0_ns, t1_ns, filter,
-        [&stats](const ConsumptionRecord& r) { stats.add(r.current_ma); });
+    fold_half_open<0>(
+        ref, t0_ns, t1_ns, filter, nullptr,
+        [&stats](const StoredRecord& r) { stats.add(r.current_ma()); });
   }
   return stats;
 }
@@ -915,51 +980,32 @@ std::map<NetworkId, NetworkUsage> Tsdb::network_breakdown(
   if (!ref) {
     return out;
   }
-  const SeriesView& view = *ref.view;
-  const std::size_t shard = ref.shard;
   // Sealed segments entirely past `from_ns` answer from their dictionary
-  // subtotals; only straddlers decode.  The visible head prefix folds its
-  // (small) column arrays per record — same quantized integers either way.
-  std::map<NetworkId, std::int64_t> energy_q;
-  const auto fold_record = [&](const ConsumptionRecord& r) {
-    if (r.timestamp_ns < from_ns) {
-      return;
-    }
-    out[r.network].records += 1;
-    energy_q[r.network] += quantize(r.energy_mwh, kEnergyScale);
+  // subtotals; straddlers decode the network column, and the head folds its
+  // columns — the same quantized integers either way.
+  struct Tally {
+    std::uint64_t records = 0;
+    std::int64_t energy_q = 0;
   };
-  const auto [lo, hi] = sealed_overlap_range(view, from_ns, INT64_MAX);
-  segments_pruned_.add(view.sealed.size() - (hi - lo), shard);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Segment& seg = *view.sealed[i];
-    const SegmentSummary& s = seg.summary();
-    if (s.t_max_ns < from_ns) {
-      segments_pruned_.add(1, shard);
-      continue;
-    }
-    if (s.t_min_ns >= from_ns) {
-      summary_hits_.add(1, shard);
-      for (const auto& sub : s.networks) {
-        out[sub.network].records += sub.records;
-        energy_q[sub.network] += sub.energy_q_sum;
-      }
-      continue;
-    }
-    SegmentCursor cur = seg.cursor();
-    while (auto rec = cur.next()) {
-      fold_record(*rec);
-    }
-  }
-  const HeadChunk& head = *view.head;
-  for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
-    if (head.timestamps[i] < from_ns) {
-      continue;
-    }
-    out[head.dict[head.network_ids[i]]].records += 1;
-    energy_q[head.dict[head.network_ids[i]]] += head.energies_q[i];
-  }
-  for (auto& [network, usage] : out) {
-    usage.energy_mwh = dequantize(energy_q[network], kEnergyScale);
+  std::map<NetworkId, Tally> tally;
+  fold_range<columns::kNetwork>(
+      ref, from_ns, INT64_MAX, RecordFilter{},
+      [&tally](const SegmentSummary& s) {
+        for (const auto& sub : s.networks) {
+          Tally& t = tally[sub.network];
+          t.records += sub.records;
+          t.energy_q += sub.energy_q_sum;
+        }
+      },
+      [&tally](const StoredRecord& r) {
+        Tally& t = tally[*r.network];
+        t.records += 1;
+        t.energy_q += r.energy_q;
+      });
+  for (const auto& [network, t] : tally) {
+    out.emplace_hint(out.end(), network,
+                     NetworkUsage{t.records,
+                                  dequantize(t.energy_q, kEnergyScale)});
   }
   return out;
 }

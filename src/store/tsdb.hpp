@@ -11,14 +11,24 @@
 //
 // Query surface (per device; store/query_engine.hpp fans these out across
 // shards for fleet-wide reads):
-//   scan()              time-range scan (summary-pruned, lazy decode)
+//   scan()              time-range scan; materializes only matching records
 //   downsample()        fixed windows: avg/max current, energy sum per window
 //   aggregate()         per-device totals over a range, optionally filtered;
 //                       fully-covered sealed segments under an empty filter
 //                       are answered from their summary block alone
 //   current_stats()     filtered mean/min/max of current (verification reads)
 //   network_breakdown() per-network record/energy subtotals (billing reads),
-//                       answered entirely from segment dictionaries
+//                       answered from segment dictionaries; only segments
+//                       straddling the bound decode
+//
+// All five run one range fold (fold_range below) over the stored form:
+// sealed segments through Segment::fold, which decodes only the columns the
+// query reads (store/segment.hpp lists them per kind), and the open head
+// straight from its quantized columns.  The fold hands each in-range,
+// filter-passing record to the query as a StoredRecord of quantized
+// integers; the double-valued kinds see dequantize(q), which is exactly the
+// current_ma/energy_mwh a materialized record carries, so answers are
+// bit-identical to folding materialized records.
 //
 // Timestamps are the records' device-RTC timestamps (ns); ranges are
 // half-open [t0, t1).  Out-of-order arrivals (offline flushes, roamed
@@ -374,19 +384,41 @@ class Tsdb {
   [[nodiscard]] SeriesRef find_series(const DeviceId& id) const;
   [[nodiscard]] static SeriesRef capture(const SeriesHandle& handle,
                                          std::size_t shard_index) noexcept;
-  /// Storage-order index range [lo, hi) of sealed segments a [t0, t1) query
-  /// must visit.  Time-ordered series binary-search it (everything outside
-  /// is non-overlapping by construction); unordered series get the full
-  /// range and keep their per-segment overlap checks.
+  /// Storage-order index range [lo, hi) of sealed segments a query over the
+  /// closed range [first, last] must visit.  Time-ordered series
+  /// binary-search it (everything outside is non-overlapping by
+  /// construction); unordered series get the full range and keep their
+  /// per-segment overlap checks.
   [[nodiscard]] static std::pair<std::size_t, std::size_t> sealed_overlap_range(
-      const SeriesView& view, std::int64_t t0_ns, std::int64_t t1_ns);
-  /// Applies `fn` to every record of `ref` in [t0, t1) passing `filter`,
-  /// pruning sealed segments whose summary cannot overlap (prunes counted
-  /// at the owning shard's registry slot).
-  void for_each_in_range(
-      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-      const RecordFilter& filter,
-      const std::function<void(const ConsumptionRecord&)>& fn) const;
+      const SeriesView& view, std::int64_t first_ns, std::int64_t last_ns);
+  /// The range fold behind every query kind.  Calls
+  /// `on_record(const StoredRecord&)` for every record of `ref` with
+  /// timestamp in the closed range [first, last] that passes `filter`:
+  /// sealed segments in storage order, then the visible head prefix.
+  ///   * `Columns` names what on_record reads beyond timestamp, current and
+  ///     energy; the fold adds network/flags itself when the filter needs
+  ///     them, and decodes nothing else.
+  ///   * Sealed segments whose summary cannot overlap are pruned, and so
+  ///     are segments whose dictionary lacks a filtered network (both
+  ///     counted at the owning shard's registry slot).
+  ///   * `on_summary` (or nullptr): under an empty filter, a segment wholly
+  ///     inside the range is handed over as `on_summary(const
+  ///     SegmentSummary&)` instead of being decoded (a summary hit).
+  ///   * Head records are read straight from the chunk's columns.  A
+  ///     network filter reads dict[j] only for indices a visible record
+  ///     references, so it never touches a slot the writer has not
+  ///     published.
+  /// Half-open [t0, t1) queries go through fold_half_open().
+  template <unsigned Columns, typename OnRecord, typename OnSummary>
+  void fold_range(SeriesRef ref, std::int64_t first_ns, std::int64_t last_ns,
+                  const RecordFilter& filter, OnSummary&& on_summary,
+                  OnRecord&& on_record) const;
+  /// fold_range over the half-open [t0, t1); an empty range folds nothing
+  /// (every sealed segment counts as pruned).
+  template <unsigned Columns, typename OnRecord, typename OnSummary>
+  void fold_half_open(SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
+                      const RecordFilter& filter, OnSummary&& on_summary,
+                      OnRecord&& on_record) const;
   /// Observed [t_min, t_max] over sealed summaries and the visible head
   /// prefix; nullopt for an empty snapshot.
   [[nodiscard]] static std::optional<std::pair<std::int64_t, std::int64_t>>

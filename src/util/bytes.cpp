@@ -121,13 +121,6 @@ std::vector<std::uint8_t> ByteReader::raw(std::size_t n) {
   return out;
 }
 
-std::optional<std::uint8_t> ByteReader::try_u8() noexcept {
-  if (remaining() < 1) {
-    return std::nullopt;
-  }
-  return u8();
-}
-
 std::optional<std::uint16_t> ByteReader::try_u16() noexcept {
   if (remaining() < 2) {
     return std::nullopt;
@@ -174,20 +167,6 @@ std::optional<std::vector<std::uint8_t>> ByteReader::try_raw(std::size_t n) {
     return std::nullopt;
   }
   return raw(n);
-}
-
-std::optional<std::uint64_t> ByteReader::try_varint() noexcept {
-  std::uint64_t v = 0;
-  std::size_t i = 0;
-  for (; i < 10 && pos_ + i < data_.size(); ++i) {
-    const std::uint8_t byte = data_[pos_ + i];
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
-    if ((byte & 0x80) == 0) {
-      pos_ += i + 1;
-      return v;
-    }
-  }
-  return std::nullopt;  // truncated, or continuation bits past 10 bytes
 }
 
 }  // namespace emon::util

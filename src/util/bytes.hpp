@@ -78,7 +78,12 @@ class ByteReader {
 
   // Non-throwing variants.  On truncation they return nullopt and do not
   // advance, so the caller can report the error and stop cleanly.
-  [[nodiscard]] std::optional<std::uint8_t> try_u8() noexcept;
+  [[nodiscard]] std::optional<std::uint8_t> try_u8() noexcept {
+    if (remaining() < 1) {
+      return std::nullopt;
+    }
+    return data_[pos_++];
+  }
   [[nodiscard]] std::optional<std::uint16_t> try_u16() noexcept;
   [[nodiscard]] std::optional<std::uint32_t> try_u32() noexcept;
   [[nodiscard]] std::optional<std::uint64_t> try_u64() noexcept;
@@ -86,9 +91,24 @@ class ByteReader {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> try_raw(
       std::size_t n);
   /// LEB128 varint; nullopt (position untouched) on truncation or a
-  /// malformed >10-byte encoding.
-  [[nodiscard]] std::optional<std::uint64_t> try_varint() noexcept;
-  [[nodiscard]] std::optional<std::int64_t> try_zigzag() noexcept {
+  /// malformed >10-byte encoding.  Always inlined: the store's segment
+  /// decoder calls it once per column per record on every range query, and
+  /// a call per varint cost more than the decode itself there.
+  [[nodiscard, gnu::always_inline]] std::optional<std::uint64_t>
+  try_varint() noexcept {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 10 && pos_ + i < data_.size(); ++i) {
+      const std::uint8_t byte = data_[pos_ + i];
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+      if ((byte & 0x80) == 0) {
+        pos_ += i + 1;
+        return v;
+      }
+    }
+    return std::nullopt;  // truncated, or continuation bits past 10 bytes
+  }
+  [[nodiscard, gnu::always_inline]] std::optional<std::int64_t>
+  try_zigzag() noexcept {
     const auto raw = try_varint();
     if (!raw) {
       return std::nullopt;

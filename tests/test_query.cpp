@@ -738,6 +738,23 @@ TEST(QueryEngine, ConcurrentIngestMatchesQuiescedReplayAtCut) {
         make_fleet(10 + rng() % 14, 60 + rng() % 60, 3, 0x900d + trial);
     const auto accepted = acceptance_order(fleet);
     const TsdbOptions opts{1 + rng() % 8, 8 + rng() % 40};
+    // The head fold's dictionary race: a device whose roamed slice starts
+    // in a non-empty head chunk gains a network mid-chunk, i.e. the writer
+    // fills a fresh dict slot while network-filtered readers (case 2
+    // below) walk the same chunk.
+    std::size_t mid_chunk_gains = 0;
+    for (const auto& [id, stream] : accepted) {
+      const auto first_roamed = std::find_if(
+          stream.begin(), stream.end(), [](const ConsumptionRecord& r) {
+            return r.membership == MembershipKind::kTemporary;
+          });
+      const auto before =
+          static_cast<std::size_t>(first_roamed - stream.begin());
+      if (first_roamed != stream.end() && before % opts.seal_threshold != 0) {
+        ++mid_chunk_gains;
+      }
+    }
+    ASSERT_GT(mid_chunk_gains, 0u) << "trial " << trial;
     Tsdb db{opts};
     const QueryEngine live{db, QueryEngineOptions{2 + rng() % 4}};
 
@@ -804,6 +821,9 @@ TEST(QueryEngine, ConcurrentIngestMatchesQuiescedReplayAtCut) {
           break;
         }
         case 2: {
+          // Always network-filtered: every network is some device's
+          // visited one, gained mid-chunk while this query runs.
+          spec.filter.network = "wan-" + std::to_string(checked / 5 % 3);
           const FleetStats got = live.current_stats(spec);
           const auto replay = replay_at_cut(opts, accepted, cut);
           spec.capture_cut = nullptr;

@@ -8,7 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/billing.hpp"
@@ -235,10 +240,12 @@ TEST(SegmentErrors, TrailingBytesAreCorrupt) {
   EXPECT_EQ(res.error().fault, SegmentFault::kCorrupt);
 }
 
-TEST(SegmentErrors, ExhaustedColumnSurfacesCursorError) {
-  // Hand-assemble a structurally valid segment whose summary claims three
-  // records but whose value columns are empty: parse() accepts the frame,
-  // the lazy cursor must stop with a typed error instead of inventing data.
+/// A structurally valid segment whose summary claims three records: column
+/// c holds column_records[c] of them (a varint 0 each; every record sits
+/// at t = 0 with zero current/energy).  parse() accepts the frame whatever
+/// the column contents — only decoding can find a column that runs dry.
+std::vector<std::uint8_t> hand_built_segment(
+    const std::array<int, 7>& column_records) {
   util::ByteWriter w;
   w.u32(0x31475345);  // "ESG1"
   w.u8(1);
@@ -259,18 +266,72 @@ TEST(SegmentErrors, ExhaustedColumnSurfacesCursorError) {
   w.varint(3);  // dictionary record subtotal matches count
   w.zigzag(0);
   w.u8(8);  // column count
-  for (int c = 0; c < 7; ++c) {
-    w.u32(0);  // every varint column empty
+  for (const int n : column_records) {  // the seven varint columns
+    w.u32(static_cast<std::uint32_t>(n));
+    for (int i = 0; i < n; ++i) {
+      w.u8(0);
+    }
   }
   w.u32(1);  // flags column: fixed width (3+3)/4 = 1 byte, must be present
   w.u8(0);
-  const auto res = Segment::parse(w.bytes());
+  return w.take();
+}
+
+TEST(SegmentErrors, ExhaustedColumnSurfacesCursorError) {
+  // Every varint column empty: parse() accepts the frame, the lazy cursor
+  // must stop with a typed error instead of inventing data — and so must
+  // the column-selective fold the queries run, whatever columns it reads.
+  const auto bytes = hand_built_segment({0, 0, 0, 0, 0, 0, 0});
+  const auto res = Segment::parse(bytes);
   ASSERT_TRUE(res.ok()) << res.error().detail;
-  SegmentCursor cur = res.value().cursor();
+  const Segment& seg = res.value();
+  SegmentCursor cur = seg.cursor();
   EXPECT_FALSE(cur.next().has_value());
   ASSERT_TRUE(cur.error().has_value());
   EXPECT_EQ(cur.error()->fault, SegmentFault::kCorrupt);
   EXPECT_EQ(cur.decoded(), 0u);
+
+  std::size_t folded = 0;
+  const auto count = [&folded](const StoredRecord&) { ++folded; };
+  EXPECT_FALSE(seg.fold<0>(count));
+  EXPECT_FALSE(seg.fold<columns::kNetwork>(count));
+  EXPECT_FALSE(seg.fold<columns::kFlags>(count));
+  EXPECT_FALSE(seg.fold<columns::kAll>(count));
+  EXPECT_EQ(folded, 0u);
+}
+
+TEST(SegmentErrors, FoldStopsAtTheFirstColumnThatRunsDry) {
+  // Columns: timestamps, sequences, intervals, current, voltage, energy,
+  // network.  Energy holds two of three records: every fold stops after
+  // record two and folds nothing past it.  Columns a fold does not read
+  // cannot stop it: the query fold (timestamp/current/energy) ignores the
+  // empty sequence column the cursor trips over first.
+  const auto bytes = hand_built_segment({3, 0, 3, 3, 3, 2, 3});
+  const auto res = Segment::parse(bytes);
+  ASSERT_TRUE(res.ok()) << res.error().detail;
+  const Segment& seg = res.value();
+  std::vector<std::int64_t> seen;
+  const auto record = [&seen](const StoredRecord& r) {
+    EXPECT_EQ(r.current_q, 0);
+    EXPECT_EQ(r.energy_q, 0);
+    seen.push_back(r.timestamp_ns);
+  };
+  EXPECT_FALSE(seg.fold<columns::kNetwork | columns::kFlags>(record));
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 0}));
+  seen.clear();
+  EXPECT_FALSE(seg.fold<columns::kAll>(record));
+  EXPECT_TRUE(seen.empty());
+  SegmentCursor cur = seg.cursor();
+  EXPECT_FALSE(cur.next().has_value());
+  ASSERT_TRUE(cur.error().has_value());
+  EXPECT_NE(cur.error()->detail.find("sequence"), std::string::npos)
+      << cur.error()->detail;
+
+  // The full columns, for contrast: all three records, clean stop.
+  const auto whole = Segment::parse(hand_built_segment({3, 3, 3, 3, 3, 3, 3}));
+  ASSERT_TRUE(whole.ok()) << whole.error().detail;
+  EXPECT_TRUE(whole.value().fold<columns::kAll>(record));
+  EXPECT_EQ(seen.size(), 3u);
 }
 
 TEST(SegmentErrors, AdversarialHugeCountRejectedAtParse) {
@@ -1066,6 +1127,328 @@ TEST(Tsdb, ShardingIsStableAndCoversAllDevices) {
   EXPECT_FALSE(db.has_device("dev-999"));
   EXPECT_EQ(db.total_energy_mwh("dev-999"), 0.0);
   EXPECT_FALSE(db.aggregate("dev-999", 0, INT64_MAX).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Range folds vs a reference-independent naive fold over the input records
+// ---------------------------------------------------------------------------
+//
+// The engine-vs-engine tests (test_query, the cut-replay gates) cannot catch
+// a bug both sides share.  These references never touch the store: they
+// fold the ingested input records themselves, in acceptance order (which is
+// also storage order: segments seal consecutive accepted records and the
+// head holds the newest), after the quantize/dequantize round-trip the
+// store applies.  Doubles compare with ==.
+
+/// An input record as the store keeps it: current/energy through the
+/// quantization round-trip.
+struct StoredInput {
+  ConsumptionRecord rec;
+  std::int64_t current_q = 0;
+  std::int64_t energy_q = 0;
+};
+
+std::vector<StoredInput> accepted_inputs(
+    const std::vector<ConsumptionRecord>& arrivals, const DeviceId& device) {
+  std::vector<StoredInput> out;
+  std::vector<std::uint64_t> seen;
+  for (const auto& r : arrivals) {
+    if (r.device_id != device ||
+        std::find(seen.begin(), seen.end(), r.sequence) != seen.end()) {
+      continue;
+    }
+    seen.push_back(r.sequence);
+    StoredInput in;
+    in.rec = r;
+    in.current_q = quantize(r.current_ma, kCurrentScale);
+    in.energy_q = quantize(r.energy_mwh, kEnergyScale);
+    in.rec.current_ma = dequantize(in.current_q, kCurrentScale);
+    in.rec.energy_mwh = dequantize(in.energy_q, kEnergyScale);
+    out.push_back(std::move(in));
+  }
+  return out;
+}
+
+bool naive_match(const ConsumptionRecord& r, std::int64_t t0, std::int64_t t1,
+                 const RecordFilter& f) {
+  return r.timestamp_ns >= t0 && r.timestamp_ns < t1 &&
+         (!f.network || r.network == *f.network) &&
+         (!f.stored_offline || r.stored_offline == *f.stored_offline);
+}
+
+/// aggregate() is defined over quantized integers: sums fold q, then
+/// dequantize once.
+std::optional<DeviceAggregate> naive_aggregate(
+    const std::vector<StoredInput>& in, std::int64_t t0, std::int64_t t1,
+    const RecordFilter& f) {
+  DeviceAggregate agg;
+  std::int64_t cur_sum = 0;
+  std::int64_t energy_sum = 0;
+  std::int64_t cur_min = 0;
+  std::int64_t cur_max = 0;
+  for (const auto& x : in) {
+    if (!naive_match(x.rec, t0, t1, f)) {
+      continue;
+    }
+    if (agg.count == 0) {
+      agg.t_min_ns = agg.t_max_ns = x.rec.timestamp_ns;
+      cur_min = cur_max = x.current_q;
+    }
+    agg.t_min_ns = std::min(agg.t_min_ns, x.rec.timestamp_ns);
+    agg.t_max_ns = std::max(agg.t_max_ns, x.rec.timestamp_ns);
+    cur_min = std::min(cur_min, x.current_q);
+    cur_max = std::max(cur_max, x.current_q);
+    cur_sum += x.current_q;
+    energy_sum += x.energy_q;
+    ++agg.count;
+  }
+  if (agg.count == 0) {
+    return std::nullopt;
+  }
+  agg.min_current_ma = dequantize(cur_min, kCurrentScale);
+  agg.max_current_ma = dequantize(cur_max, kCurrentScale);
+  agg.avg_current_ma =
+      dequantize(cur_sum, kCurrentScale) / static_cast<double>(agg.count);
+  agg.sum_energy_mwh = dequantize(energy_sum, kEnergyScale);
+  return agg;
+}
+
+util::RunningStats naive_current_stats(const std::vector<StoredInput>& in,
+                                       std::int64_t t0, std::int64_t t1,
+                                       const RecordFilter& f) {
+  util::RunningStats stats;
+  for (const auto& x : in) {
+    if (naive_match(x.rec, t0, t1, f)) {
+      stats.add(x.rec.current_ma);
+    }
+  }
+  return stats;
+}
+
+/// downsample()'s documented grid: the range clamps to the series'
+/// observed bounds (all records, unfiltered), still anchored at t0.  The
+/// grid math runs in 128 bits, so sentinel ranges cannot overflow it.
+std::vector<WindowAggregate> naive_downsample(
+    const std::vector<StoredInput>& in, std::int64_t t0, std::int64_t t1,
+    std::int64_t window, const RecordFilter& f) {
+  if (in.empty() || t1 <= t0) {
+    return {};
+  }
+  std::int64_t obs_min = INT64_MAX;
+  std::int64_t obs_max = INT64_MIN;
+  for (const auto& x : in) {
+    obs_min = std::min(obs_min, x.rec.timestamp_ns);
+    obs_max = std::max(obs_max, x.rec.timestamp_ns);
+  }
+  using Wide = __int128;
+  const Wide t0c = t0 < obs_min ? t0 + (Wide{obs_min} - t0) / window * window
+                                : Wide{t0};
+  const Wide t1c = std::min(Wide{t1}, Wide{obs_max} + 1);
+  if (t1c <= t0c) {
+    return {};
+  }
+  const auto n = static_cast<std::size_t>((t1c - t0c + window - 1) / window);
+  std::vector<WindowAggregate> out(n);
+  std::vector<double> sums(n, 0.0);
+  for (std::size_t w = 0; w < n; ++w) {
+    out[w].start_ns = static_cast<std::int64_t>(t0c + Wide{window} * w);
+  }
+  for (const auto& x : in) {
+    if (x.rec.timestamp_ns < t0c || x.rec.timestamp_ns >= t1c ||
+        !naive_match(x.rec, INT64_MIN, INT64_MAX, f)) {
+      continue;
+    }
+    const auto w = static_cast<std::size_t>((x.rec.timestamp_ns - t0c) / window);
+    out[w].count += 1;
+    sums[w] += x.rec.current_ma;
+    out[w].max_current_ma = std::max(out[w].max_current_ma, x.rec.current_ma);
+    out[w].sum_energy_mwh += x.rec.energy_mwh;
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    if (out[w].count > 0) {
+      out[w].avg_current_ma = sums[w] / static_cast<double>(out[w].count);
+    }
+  }
+  return out;
+}
+
+std::map<NetworkId, NetworkUsage> naive_breakdown(
+    const std::vector<StoredInput>& in, std::int64_t from) {
+  std::map<NetworkId, std::pair<std::uint64_t, std::int64_t>> tally;
+  for (const auto& x : in) {
+    if (x.rec.timestamp_ns >= from) {
+      tally[x.rec.network].first += 1;
+      tally[x.rec.network].second += x.energy_q;
+    }
+  }
+  std::map<NetworkId, NetworkUsage> out;
+  for (const auto& [network, t] : tally) {
+    out[network] = NetworkUsage{t.first, dequantize(t.second, kEnergyScale)};
+  }
+  return out;
+}
+
+bool same_aggregate(const std::optional<DeviceAggregate>& a,
+                    const std::optional<DeviceAggregate>& b) {
+  if (a.has_value() != b.has_value()) {
+    return false;
+  }
+  return !a || (a->count == b->count && a->t_min_ns == b->t_min_ns &&
+                a->t_max_ns == b->t_max_ns &&
+                a->min_current_ma == b->min_current_ma &&
+                a->max_current_ma == b->max_current_ma &&
+                a->avg_current_ma == b->avg_current_ma &&
+                a->sum_energy_mwh == b->sum_energy_mwh);
+}
+
+bool same_stats(const util::RunningStats& a, const util::RunningStats& b) {
+  return a.count() == b.count() && a.mean() == b.mean() &&
+         a.variance() == b.variance() && a.min() == b.min() &&
+         a.max() == b.max();
+}
+
+bool same_windows(const std::vector<WindowAggregate>& a,
+                  const std::vector<WindowAggregate>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].start_ns != b[i].start_ns || a[i].count != b[i].count ||
+        a[i].avg_current_ma != b[i].avg_current_ma ||
+        a[i].max_current_ma != b[i].max_current_ma ||
+        a[i].sum_energy_mwh != b[i].sum_energy_mwh) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_breakdown(const std::map<NetworkId, NetworkUsage>& a,
+                    const std::map<NetworkId, NetworkUsage>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    if (ia->first != ib->first || ia->second.records != ib->second.records ||
+        ia->second.energy_mwh != ib->second.energy_mwh) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Two devices' arrivals.  "dev-1" is time-ordered.  "dev-2" reports its
+/// roamed-era slice (network wan-2, temporary membership) and batches of
+/// offline-buffered records late, so its seals go out of order; the second
+/// wan-2 era makes wan-2 present in some segment dictionaries and absent
+/// from others.  A few QoS-1 retransmits are mixed in.
+std::vector<ConsumptionRecord> fold_workload(std::uint64_t seed) {
+  auto ordered = synthetic_stream(170, seed);
+  auto unordered = synthetic_stream(190, seed + 1, 2'000'000);
+  std::vector<ConsumptionRecord> live;
+  std::vector<ConsumptionRecord> late;
+  for (std::size_t i = 0; i < unordered.size(); ++i) {
+    ConsumptionRecord& r = unordered[i];
+    r.device_id = "dev-2";
+    const bool roamed = (i >= 40 && i < 70) || (i >= 150 && i < 160);
+    r.network = roamed ? "wan-2" : "wan-1";
+    r.membership = roamed ? MembershipKind::kTemporary : MembershipKind::kHome;
+    r.stored_offline = roamed || (i >= 100 && i < 125);
+    (r.stored_offline ? late : live).push_back(r);
+    if (i % 45 == 44) {  // a flush lands among the live records
+      live.insert(live.end(), late.begin(), late.end());
+      late.clear();
+    }
+  }
+  live.insert(live.end(), late.begin(), late.end());
+  std::vector<ConsumptionRecord> out;
+  for (std::size_t i = 0; i < std::max(ordered.size(), live.size()); ++i) {
+    if (i < ordered.size()) {
+      out.push_back(ordered[i]);
+    }
+    if (i < live.size()) {
+      out.push_back(live[i]);
+    }
+    if (i % 31 == 30) {
+      out.push_back(out[out.size() / 2]);  // retransmit, dedup-dropped
+    }
+  }
+  return out;
+}
+
+TEST(TsdbFold, QueryKindsMatchNaiveFoldOverInputRecords) {
+  const auto arrivals = fold_workload(211);
+  const std::vector<DeviceId> devices{"dev-1", "dev-2"};
+  std::vector<RecordFilter> filters(6);
+  filters[1].network = "wan-1";
+  filters[2].stored_offline = true;
+  filters[3].stored_offline = false;
+  filters[4].network = "wan-2";  // absent from most segment dictionaries
+  filters[4].stored_offline = true;
+  filters[5].network = "wan-9";  // in no dictionary at all
+  for (const DeviceId& device : devices) {
+    const auto in = accepted_inputs(arrivals, device);
+    ASSERT_GT(in.size(), 150u);
+    std::int64_t t_lo = INT64_MAX;
+    std::int64_t t_hi = INT64_MIN;
+    for (const auto& x : in) {
+      t_lo = std::min(t_lo, x.rec.timestamp_ns);
+      t_hi = std::max(t_hi, x.rec.timestamp_ns);
+    }
+    for (std::size_t threshold = 1; threshold <= 64; ++threshold) {
+      Tsdb db{TsdbOptions{2, threshold}};
+      for (const auto& r : arrivals) {
+        db.ingest(r);
+      }
+      // Range ends at accepted-record timestamps: one sits mid-way through
+      // a sealed segment, one mid-way through the open head (whose records
+      // are the last in.size() % threshold accepted).
+      const std::size_t head = in.size() % threshold;
+      const std::size_t sealed_mid =
+          std::min(threshold / 2 + threshold, in.size() - 1);
+      const std::size_t head_mid = in.size() - 1 - head / 2;
+      const std::int64_t t_seal = in[sealed_mid].rec.timestamp_ns;
+      const std::int64_t t_head = in[head_mid].rec.timestamp_ns;
+      const std::vector<std::pair<std::int64_t, std::int64_t>> ranges{
+          {INT64_MIN, INT64_MAX},
+          {std::min(t_seal, t_head), std::max(t_seal, t_head)},
+          {std::min(t_seal, t_head), std::max(t_seal, t_head) + 1},
+          {t_lo + (t_hi - t_lo) / 3, t_hi - (t_hi - t_lo) / 3},
+          {t_seal, t_seal},          // empty: t1 == t0
+          {t_head, t_seal - 1},      // empty or inverted
+          {t_seal + 1, t_seal + 2},  // between two records
+          {t_hi + 1, INT64_MAX},     // past everything
+      };
+      for (const auto& [t0, t1] : ranges) {
+        for (std::size_t k = 0; k < filters.size(); ++k) {
+          const RecordFilter& f = filters[k];
+          const std::string label = device + " threshold " +
+                                    std::to_string(threshold) + " range [" +
+                                    std::to_string(t0) + ", " +
+                                    std::to_string(t1) + ") filter " +
+                                    std::to_string(k);
+          ASSERT_TRUE(same_aggregate(db.aggregate(device, t0, t1, f),
+                                     naive_aggregate(in, t0, t1, f)))
+              << label;
+          ASSERT_TRUE(same_stats(db.current_stats(device, t0, t1, f),
+                                 naive_current_stats(in, t0, t1, f)))
+              << label;
+          for (const std::int64_t window :
+               {INT64_C(700'000'000), INT64_C(3'000'000'000)}) {
+            ASSERT_TRUE(same_windows(
+                db.downsample(device, t0, t1, window, f),
+                naive_downsample(in, t0, t1, window, f)))
+                << label << " window " << window;
+          }
+        }
+      }
+      for (const std::int64_t from : {INT64_MIN, t_seal, t_head, t_hi + 1}) {
+        ASSERT_TRUE(same_breakdown(db.network_breakdown(device, from),
+                                   naive_breakdown(in, from)))
+            << device << " threshold " << threshold << " from " << from;
+      }
+    }
+  }
 }
 
 }  // namespace
