@@ -325,7 +325,6 @@ int main(int argc, char** argv) {
   for (const std::size_t w : worker_counts) {
     const store::QueryEngine engine{db, store::QueryEngineOptions{w}};
     core::BillingService billing{"wan-0", core::Tariff{}};
-    billing.bind_store(&db);
     billing.bind_engine(&engine);
     for (const auto& id : workload.devices) {
       billing.mark_billable(id);

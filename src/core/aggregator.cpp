@@ -60,7 +60,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       }(), [&kernel] { return kernel.now(); }) {
   chain_.register_writer(chain::WriterKey{id_, chain_secret_});
   commits_.register_writer(id_);
-  billing_.bind_store(&tsdb_);
   billing_.bind_engine(&query_engine_);
   // Every accepted record folds into the maintained roll-ups as it lands.
   tsdb_.set_ingest_hook(&rollup_engine_);
@@ -109,28 +108,15 @@ void Aggregator::start() {
   }
   started_ = true;
   window_start_ = kernel_.now();
-  // Maintained live roll-ups, one window per verification interval, grid
-  // anchored at the verify timer's epoch.  The live-records rollup backs
-  // both the verification hot read (hot_window before the window closes)
-  // and the fleet-health snapshot; the unfiltered one feeds the billing
-  // preview.  Specs are shared by equality, so an MQTT dashboard watching
-  // the same view rides the same maintained fold.
-  store::RollupSpec live_spec;
-  live_spec.window_ns = config_.aggregator.verify_interval.ns();
-  live_spec.slide_ns = live_spec.window_ns;
-  live_spec.lateness_ns = config_.aggregator.rollup_lateness.ns();
-  live_spec.anchor_ns = window_start_.ns();
-  live_spec.filter.network = network_;
-  live_spec.filter.stored_offline = false;
-  verify_sub_ = subscriptions_.subscribe_local(
-      live_spec,
-      [this](const store::ClosedWindow& window) { latest_health_ = window; });
-  verify_rollup_id_ = subscriptions_.backing_rollup(verify_sub_);
+  // Maintained billing-preview roll-up, one window per verification
+  // interval, grid anchored at the verify timer's epoch.  Specs are shared
+  // by equality, so an MQTT dashboard watching the same view rides the same
+  // maintained fold.
   store::RollupSpec preview_spec;
-  preview_spec.window_ns = live_spec.window_ns;
-  preview_spec.slide_ns = live_spec.slide_ns;
-  preview_spec.lateness_ns = live_spec.lateness_ns;
-  preview_spec.anchor_ns = live_spec.anchor_ns;
+  preview_spec.window_ns = config_.aggregator.verify_interval.ns();
+  preview_spec.slide_ns = preview_spec.window_ns;
+  preview_spec.lateness_ns = config_.aggregator.rollup_lateness.ns();
+  preview_spec.anchor_ns = window_start_.ns();
   preview_sub_ = subscriptions_.subscribe_local(
       preview_spec, [this](const store::ClosedWindow& window) {
         billing_.preview_observe(window);
@@ -161,13 +147,8 @@ void Aggregator::stop() {
   block_timer_.reset();
   beacon_timer_.reset();
   expiry_timer_.reset();
-  // Release the start()-registered roll-up consumers so a restart anchors a
+  // Release the start()-registered roll-up consumer so a restart anchors a
   // fresh window grid instead of stacking subscriptions.
-  if (verify_sub_ != 0) {
-    subscriptions_.unsubscribe_local(verify_sub_);
-    verify_sub_ = 0;
-    verify_rollup_id_ = 0;
-  }
   if (preview_sub_ != 0) {
     subscriptions_.unsubscribe_local(preview_sub_);
     preview_sub_ = 0;
@@ -579,50 +560,26 @@ void Aggregator::on_verify_window() {
   // A record sampled in the window's last superframe may arrive after the
   // window closes and is then counted in no window — it carries the same
   // mean as its neighbours, so the per-device window mean is unbiased.
+  // One fleet aggregate over the borrowed, presorted member list (shard-
+  // parallel when the engine has workers; per_device comes back in sorted
+  // device order, so the total folds in member order).  Devices with no
+  // live records here this window are omitted, and an empty member list
+  // skips the query, which would otherwise read every device.
   const std::vector<DeviceId>& members = sorted_member_ids();
   std::map<DeviceId, double> reported;
   double reported_total_ma = 0.0;
-  // Hot read first: the maintained verify rollup answers the window from
-  // its pane ring, no segment re-fold.  Any device it cannot answer
-  // exactly (a record later than the lateness horizon, pane data aged out)
-  // drops the whole window to the cold fleet query — same answer, full
-  // price.  Devices with no live records here this window are omitted, so
-  // an all-member read never mistakes "no members" for "every device".
-  bool hot = verify_rollup_id_ != 0;
-  if (hot) {
-    for (const auto& device : members) {
-      const auto window = rollup_engine_.hot_window(
-          verify_rollup_id_, device, window_start_.ns(), window_end.ns());
-      if (!window) {
-        hot = false;
-        reported.clear();
-        reported_total_ma = 0.0;
-        break;
-      }
-      if (window->count > 0) {
-        reported[device] = window->mean_current_ma;
-        reported_total_ma += window->mean_current_ma;
-      }
-    }
-  }
-  if (!hot && !members.empty()) {
-    store::RecordFilter live_here;
-    live_here.network = network_;
-    live_here.stored_offline = false;
+  if (!members.empty()) {
     store::QuerySpec window_spec;
-    window_spec.t0_ns = window_start_.ns();
-    window_spec.t1_ns = window_end.ns();
-    window_spec.filter = live_here;
-    // Lend the maintained sorted member list (one fleet query,
-    // shard-parallel when the engine has workers; per_device comes back in
-    // sorted device order, the same order the old member loop folded in).
     window_spec.borrowed_devices = &members;
     window_spec.devices_presorted = true;
-    const store::FleetStats window_stats =
-        query_engine_.current_stats(window_spec);
-    for (const auto& [device, stats] : window_stats.per_device) {
-      reported[device] = stats.mean();
-      reported_total_ma += stats.mean();
+    window_spec.t0_ns = window_start_.ns();
+    window_spec.t1_ns = window_end.ns();
+    window_spec.filter.network = network_;
+    window_spec.filter.stored_offline = false;
+    for (const auto& [device, agg] :
+         query_engine_.aggregate(window_spec).per_device) {
+      reported[device] = agg.avg_current_ma;
+      reported_total_ma += agg.avg_current_ma;
     }
   }
   forecaster_.observe(reported_total_ma);

@@ -10,15 +10,14 @@
 //     verification, roamed-record forwarding and membership transfer,
 //   * broadcasts time-sync beacons,
 //   * ingests every accepted record into an embedded time-series store
-//     (store::Tsdb) that answers billing, verification-window and forecast
-//     reads as historical queries,
+//     (store::Tsdb); billing, verification windows and forecast feeds read
+//     it only through its store::QueryEngine,
 //   * bills its home devices (location-independent per-device billing).
 
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,8 +123,8 @@ class Aggregator {
   [[nodiscard]] const DemandForecaster& forecaster() const noexcept {
     return forecaster_;
   }
-  /// Maintained roll-ups over the store (verification hot reads, dashboard
-  /// push windows) — the Tsdb's ingest hook.
+  /// Maintained roll-ups over the store (billing preview, dashboard push
+  /// windows) — the Tsdb's ingest hook.
   [[nodiscard]] const store::RollupEngine& rollup_engine() const noexcept {
     return rollup_engine_;
   }
@@ -136,13 +135,6 @@ class Aggregator {
   }
   [[nodiscard]] const SubscriptionService& subscriptions() const noexcept {
     return subscriptions_;
-  }
-  /// Latest closed fleet-health window (live records at this location),
-  /// maintained by a local push subscription; nullopt before the first
-  /// window closes.
-  [[nodiscard]] const std::optional<store::ClosedWindow>& fleet_health()
-      const noexcept {
-    return latest_health_;
   }
   [[nodiscard]] const chain::Ledger& replica() const noexcept {
     return replica_;
@@ -249,18 +241,16 @@ class Aggregator {
   EnergyMeter feeder_meter_;
 
   // Verification window state.  The feeder side keeps a running mean (the
-  // feeder is not a device stream); the reported side is a maintained
-  // roll-up hot read with a cold store query as the exact fallback.
+  // feeder is not a device stream); the reported side is one fleet
+  // aggregate query over the store per window.
   util::RunningStats window_feeder_ma_;
   sim::SimTime window_start_{};
   sim::SimTime last_membership_change_{};
   std::vector<VerificationResult> verification_history_;
 
-  // Live roll-up consumers (registered at start(), released at stop()).
-  std::uint64_t verify_sub_ = 0;        // fleet-health local subscription
-  std::uint64_t verify_rollup_id_ = 0;  // its backing rollup (hot reads)
-  std::uint64_t preview_sub_ = 0;       // billing-preview local subscription
-  std::optional<store::ClosedWindow> latest_health_;
+  // Billing-preview local subscription (registered at start(), released
+  // at stop()).
+  std::uint64_t preview_sub_ = 0;
   std::vector<DeviceId> member_ids_;
   bool member_ids_stale_ = true;
 

@@ -6,6 +6,11 @@
 
 namespace emon::core {
 
+namespace {
+/// The usage of a device with nothing to bill.
+const std::map<NetworkId, store::NetworkUsage> kNoUsage;
+}  // namespace
+
 BillingService::BillingService(NetworkId home_network, Tariff tariff)
     : home_(std::move(home_network)), tariff_(tariff) {}
 
@@ -57,17 +62,16 @@ void BillingService::ingest_ledger(const chain::Ledger& ledger) {
   }
 }
 
-Invoice BillingService::price(const DeviceId& id,
-                              const std::map<NetworkId, Bucket>& usage) const {
+Invoice BillingService::price(const DeviceId& id, const Usage& usage) const {
   Invoice invoice;
   invoice.device_id = id;
-  for (const auto& [network, bucket] : usage) {
+  for (const auto& [network, use] : usage) {
     InvoiceLine line;
     line.network = network;
-    line.energy_mwh = bucket.energy_mwh;
-    line.records = bucket.records;
+    line.energy_mwh = use.energy_mwh;
+    line.records = use.records;
     line.roamed = network != home_;
-    const double kwh = bucket.energy_mwh / 1e6;  // mWh -> kWh
+    const double kwh = use.energy_mwh / 1e6;  // mWh -> kWh
     const double multiplier = line.roamed ? tariff_.roaming_multiplier : 1.0;
     line.cost = kwh * tariff_.home_price_per_kwh * multiplier;
     invoice.total_energy_mwh += line.energy_mwh;
@@ -78,21 +82,22 @@ Invoice BillingService::price(const DeviceId& id,
 }
 
 Invoice BillingService::invoice_for(const DeviceId& id) const {
-  if (store_backed()) {
+  if (engine_ != nullptr) {
+    // A one-device fleet query: the same per-device fold invoice_all runs,
+    // from the device's scope mark on.
+    store::QuerySpec spec;
+    spec.devices = {id};
     const auto mark = billable_.find(id);
-    const std::int64_t from_ns =
-        mark == billable_.end() ? INT64_MIN : mark->second;
-    std::map<NetworkId, Bucket> usage;
-    for (const auto& [network, use] : tsdb_->network_breakdown(id, from_ns)) {
-      usage[network] = Bucket{use.energy_mwh, use.records};
+    if (mark != billable_.end()) {
+      spec.t0_ns = mark->second;
     }
-    return price(id, usage);
+    const store::FleetBreakdown fleet = engine_->network_breakdown(spec);
+    return price(id, fleet.per_device.empty()
+                         ? kNoUsage
+                         : fleet.per_device.front().second);
   }
   const auto it = buckets_.find(id);
-  if (it == buckets_.end()) {
-    return price(id, {});
-  }
-  return price(id, it->second);
+  return price(id, it == buckets_.end() ? kNoUsage : it->second);
 }
 
 store::QuerySpec BillingService::billable_spec() const {
@@ -110,44 +115,42 @@ store::QuerySpec BillingService::billable_spec() const {
 
 std::vector<Invoice> BillingService::invoice_all() const {
   std::vector<Invoice> out;
-  // An empty billable set must not fall into the engine's "empty device
-  // list = every device" convention.
-  if (store_backed() && engine_ != nullptr && !billable_.empty()) {
-    // One shard-parallel fleet query answers every device's breakdown.
-    // Merge-join against the billed set (both sorted) so a billable device
-    // whose history is entirely out of scope still gets its zero invoice,
-    // exactly like the per-device path.
-    const store::FleetBreakdown fleet =
-        engine_->network_breakdown(billable_spec());
-    const auto billed = billed_devices();
-    out.reserve(billed.size());
-    std::size_t i = 0;
-    for (const auto& id : billed) {
-      while (i < fleet.per_device.size() && fleet.per_device[i].first < id) {
-        ++i;
-      }
-      std::map<NetworkId, Bucket> buckets;
-      if (i < fleet.per_device.size() && fleet.per_device[i].first == id) {
-        for (const auto& [network, use] : fleet.per_device[i].second) {
-          buckets[network] = Bucket{use.energy_mwh, use.records};
-        }
-      }
-      out.push_back(price(id, buckets));
+  if (engine_ == nullptr) {
+    for (const auto& [id, usage] : buckets_) {
+      out.push_back(price(id, usage));
     }
     return out;
   }
-  for (const auto& id : billed_devices()) {
-    out.push_back(invoice_for(id));
+  // An empty billable set must not fall into the engine's "empty device
+  // list = every device" convention.
+  if (billable_.empty()) {
+    return out;
+  }
+  // One shard-parallel fleet query answers every device's breakdown.
+  // Merge-join against the billed set (both sorted) so a billable device
+  // whose history is entirely out of scope still gets its zero invoice,
+  // exactly like invoice_for.
+  const store::FleetBreakdown fleet = engine_->network_breakdown(billable_spec());
+  const auto billed = billed_devices();
+  out.reserve(billed.size());
+  std::size_t i = 0;
+  for (const auto& id : billed) {
+    while (i < fleet.per_device.size() && fleet.per_device[i].first < id) {
+      ++i;
+    }
+    const bool found =
+        i < fleet.per_device.size() && fleet.per_device[i].first == id;
+    out.push_back(price(id, found ? fleet.per_device[i].second : kNoUsage));
   }
   return out;
 }
 
 std::vector<DeviceId> BillingService::billed_devices() const {
   std::vector<DeviceId> out;
-  if (store_backed()) {
+  if (engine_ != nullptr) {
     out.reserve(billable_.size());
     for (const auto& [id, _] : billable_) {
-      if (tsdb_->has_device(id)) {
+      if (engine_->tsdb().has_device(id)) {
         out.push_back(id);
       }
     }
@@ -161,27 +164,16 @@ std::vector<DeviceId> BillingService::billed_devices() const {
 }
 
 double BillingService::total_energy_mwh() const {
-  if (store_backed()) {
-    if (engine_ != nullptr) {
-      // One fleet query across all billable devices (per-device scope marks
-      // ride along as t0 overrides) instead of a per-device loop.  The
-      // empty set short-circuits: an empty device list means "every device"
-      // to the engine.
-      if (billable_.empty()) {
-        return 0.0;
-      }
-      return engine_->network_breakdown(billable_spec()).total_energy_mwh();
-    }
-    double total = 0.0;
-    for (const auto& [id, from_ns] : billable_) {
-      for (const auto& [network, use] : tsdb_->network_breakdown(id, from_ns)) {
-        (void)network;
-        total += use.energy_mwh;
-      }
-    }
-    return total;
+  if (engine_ == nullptr) {
+    return total_mwh_;
   }
-  return total_mwh_;
+  // One fleet query across all billable devices (per-device scope marks
+  // ride along as t0 overrides).  The empty set short-circuits: an empty
+  // device list means "every device" to the engine.
+  if (billable_.empty()) {
+    return 0.0;
+  }
+  return engine_->network_breakdown(billable_spec()).total_energy_mwh();
 }
 
 }  // namespace emon::core

@@ -10,15 +10,13 @@
 // use).
 //
 // Two modes share the pricing logic:
-//   * store-backed (the aggregator's mode): bind_store() points the service
-//     at the aggregator's Tsdb and invoices are priced from
-//     `network_breakdown()` queries — the store is the single source of
-//     historical truth, there is no second accumulator to drift from it.
+//   * store-backed (the aggregator's mode): bind_engine() points the service
+//     at the aggregator's store::QueryEngine, and every invoicing read is
+//     one QueryEngine::network_breakdown over the billable set (or the one
+//     device invoiced) — the store is the single source of historical
+//     truth, there is no second accumulator to drift from it.
 //     mark_billable() scopes invoicing to home members (the store also holds
 //     visiting devices' history, which their *home* aggregator bills).
-//     bind_engine() additionally routes the fleet-wide reads (all-device
-//     totals, invoice_all) through the shard-parallel store::QueryEngine as
-//     a single fleet query instead of a per-device loop.
 //   * standalone accumulator: `ingest()`/`ingest_ledger()` keep exact
 //     per-device/per-network buckets — used for audit replay of the chain
 //     and as an independent reference in tests.
@@ -77,12 +75,8 @@ class BillingService {
 
   // -- Store-backed mode -------------------------------------------------------
 
-  /// Prices invoices from `tsdb` queries instead of internal buckets.
-  void bind_store(const store::Tsdb* tsdb) noexcept { tsdb_ = tsdb; }
-  [[nodiscard]] bool store_backed() const noexcept { return tsdb_ != nullptr; }
-  /// Routes fleet-wide reads through the shard-parallel query engine (one
-  /// fleet query over the billable set instead of a per-device loop).  The
-  /// engine must wrap the same Tsdb passed to bind_store().
+  /// Prices invoices from `engine` queries over its Tsdb instead of
+  /// internal buckets.
   void bind_engine(const store::QueryEngine* engine) noexcept {
     engine_ = engine;
   }
@@ -114,9 +108,8 @@ class BillingService {
   // -- Invoicing (both modes) --------------------------------------------------
 
   [[nodiscard]] Invoice invoice_for(const DeviceId& id) const;
-  /// Invoices every billed device (store-backed mode with an engine bound:
-  /// a single fleet breakdown query, shard-parallel; otherwise a per-device
-  /// loop).  Returned in sorted device order.
+  /// Invoices every billed device (store-backed: a single fleet breakdown
+  /// query, shard-parallel).  Returned in sorted device order.
   [[nodiscard]] std::vector<Invoice> invoice_all() const;
   [[nodiscard]] std::vector<DeviceId> billed_devices() const;
   /// Total energy across all billed devices and networks (conservation
@@ -133,14 +126,10 @@ class BillingService {
   }
 
  private:
-  struct Bucket {
-    double energy_mwh = 0.0;
-    std::uint64_t records = 0;
-  };
+  using Usage = std::map<NetworkId, store::NetworkUsage>;
 
   /// Prices one device's per-network usage under the tariff.
-  [[nodiscard]] Invoice price(const DeviceId& id,
-                              const std::map<NetworkId, Bucket>& usage) const;
+  [[nodiscard]] Invoice price(const DeviceId& id, const Usage& usage) const;
 
   /// Builds the fleet query for the billable set (per-device scope marks as
   /// t0 overrides).
@@ -148,7 +137,6 @@ class BillingService {
 
   NetworkId home_;
   Tariff tariff_;
-  const store::Tsdb* tsdb_ = nullptr;
   const store::QueryEngine* engine_ = nullptr;
   /// Billable devices -> earliest record timestamp this service bills.
   std::map<DeviceId, std::int64_t> billable_;
@@ -157,8 +145,8 @@ class BillingService {
   /// read skips both the per-call id copy and the engine's sort+unique.
   std::vector<DeviceId> billable_ids_;
   BillingPreview preview_;
-  // Accumulator mode: device -> network -> bucket.
-  std::map<DeviceId, std::map<NetworkId, Bucket>> buckets_;
+  // Accumulator mode: device -> network -> usage.
+  std::map<DeviceId, Usage> buckets_;
   // device -> seen sequence numbers (duplicate suppression).
   std::map<DeviceId, std::map<std::uint64_t, bool>> seen_sequences_;
   double total_mwh_ = 0.0;

@@ -60,7 +60,7 @@ struct AggregatorConfig {
   /// value (see store/query_engine.hpp).
   std::size_t query_workers = 1;
   /// Lateness horizon of the maintained roll-ups behind live dashboard
-  /// subscriptions and verification hot reads: a window [E-W, E) closes
+  /// subscriptions and the billing preview: a window [E-W, E) closes
   /// (and pushes) once the max ingested record timestamp passes
   /// E + rollup_lateness.  Sized to cover QoS 1 retransmission delay
   /// (ack_timeout * max_attempts) so ordinary redelivery never makes a

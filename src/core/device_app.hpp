@@ -209,8 +209,8 @@ class DeviceApp {
   net::MqttClient mqtt_;
   net::TimeSyncAgent timesync_;
 
-  // Data layer: compressed offline series (store/), replacing the flat
-  // LocalStore FIFO — same push/pop_batch contract, byte-budgeted history.
+  // Data layer: compressed offline series (store/) — a push/pop_batch FIFO
+  // over byte-budgeted history.
   store::SeriesStore store_;
 
   // Application state.

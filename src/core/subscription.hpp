@@ -19,8 +19,9 @@
 // push compares == to QueryEngine::aggregate over the same range — the
 // differential tests pin exactly that.
 //
-// Colocated consumers (fleet health, billing preview) use subscribe_local():
-// same rollup sharing, no MQTT hop — the callback runs inside pump().
+// Colocated consumers (the aggregator's billing preview) use
+// subscribe_local(): same rollup sharing, no MQTT hop — the callback runs
+// inside pump().
 
 #include <cstdint>
 #include <functional>
@@ -94,8 +95,7 @@ class SubscriptionService {
       EMON_OWNER_THREAD;
   void unsubscribe_local(std::uint64_t handle) EMON_OWNER_THREAD;
   /// Rollup id backing a local subscription (0 if the handle is unknown) —
-  /// lets the owner read the same maintained windows via
-  /// RollupEngine::hot_window before they close.
+  /// lets the owner read that rollup's RollupEngine::stats.
   [[nodiscard]] std::uint64_t backing_rollup(std::uint64_t handle) const;
 
   [[nodiscard]] const SubscriptionStats& stats() const noexcept {

@@ -167,11 +167,6 @@ class EpochDomain {
     retired_.clear();
   }
 
-  /// Retired-but-not-yet-freed objects (observability / tests).
-  [[nodiscard]] std::size_t retired_count() const noexcept {
-    return retired_.size();
-  }
-
  private:
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> epoch{0};

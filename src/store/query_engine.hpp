@@ -171,7 +171,7 @@ struct FleetAggregate {
 };
 
 /// Fleet current statistics: per-device RunningStats (sorted by device,
-/// empty ones omitted) plus their merge — the verification-window read.
+/// empty ones omitted) plus their merge.
 struct FleetStats {
   std::vector<std::pair<DeviceId, util::RunningStats>> per_device;
   util::RunningStats merged;
@@ -224,9 +224,10 @@ class QueryEngine {
   /// the same store (the rollup engine's window drains ride it).
   [[nodiscard]] const QueryPool& pool() const noexcept { return pool_; }
 
-  /// Range roll-up per device + count-weighted fleet merge.
+  /// Range roll-up per device + count-weighted fleet merge (verification
+  /// windows, dashboards).
   [[nodiscard]] FleetAggregate aggregate(const QuerySpec& spec) const;
-  /// Current mean/min/max per device + merged (verification reads).
+  /// Current mean/min/max per device + merged (dashboard reads).
   [[nodiscard]] FleetStats current_stats(const QuerySpec& spec) const;
   /// Every matching record in (device, storage) order.
   [[nodiscard]] FleetScan scan(const QuerySpec& spec) const;

@@ -97,8 +97,8 @@ struct NetPane {
 /// ring (the breakdown is merged across devices anyway) — so this struct
 /// plus Pane::seq is exactly one 64-byte cache line, the whole footprint of
 /// the per-record fold.  Voltage is not maintained either: no rollup
-/// consumer (DeviceAggregate, HotWindow) reads it; the cold path still
-/// serves voltage queries from segment summaries.
+/// consumer (DeviceAggregate) reads it; the cold path still serves voltage
+/// queries from segment summaries.
 struct RollupEngine::PanePartial {
   std::uint64_t count = 0;
   std::int64_t t_min_ns = 0;
@@ -256,8 +256,6 @@ struct RollupEngine::Rollup {
   /// needs.  Maintained alongside next_close_e (sync_first_needed) so the
   /// per-record ring-safety check is a subtraction, not a division.
   std::int64_t first_needed_pane = 0;
-  std::int64_t newest_dropped_ts = 0;
-  bool has_dropped = false;
   /// Pane memo for the ingest path: arrival order is near time-sorted, so
   /// almost every record repeats its predecessor's pane and the range check
   /// replaces the floor-div.
@@ -497,10 +495,6 @@ void RollupEngine::on_ingest(const ConsumptionRecord& record,
       if (r.in_scope(record)) {
         ++r.stats.records_dropped_late;
         records_dropped_late_.inc();
-        if (!r.has_dropped || record.timestamp_ns > r.newest_dropped_ts) {
-          r.newest_dropped_ts = record.timestamp_ns;
-          r.has_dropped = true;
-        }
       }
       continue;
     }
@@ -554,10 +548,6 @@ void RollupEngine::on_ingest(const ConsumptionRecord& record,
       // lateness horizon, cold queries remain the exact path.
       ++r.stats.records_dropped_late;
       records_dropped_late_.inc();
-      if (!r.has_dropped || record.timestamp_ns > r.newest_dropped_ts) {
-        r.newest_dropped_ts = record.timestamp_ns;
-        r.has_dropped = true;
-      }
       continue;
     }
     if (r.fold_record(shard, cellw, pane, record)) {
@@ -777,62 +767,6 @@ std::vector<ClosedWindow> RollupEngine::drain(std::uint64_t id,
   drain_closes(*r, pool);
   std::vector<ClosedWindow> out;
   out.swap(r->pending);
-  return out;
-}
-
-std::optional<HotWindow> RollupEngine::hot_window(std::uint64_t id,
-                                                  const DeviceId& device,
-                                                  std::int64_t t0_ns,
-                                                  std::int64_t t1_ns) const {
-  const Rollup* r = find(id);
-  if (r == nullptr || t1_ns <= t0_ns || !r->sane_ts(t0_ns) ||
-      !r->sane_ts(t1_ns)) {
-    return std::nullopt;
-  }
-  const std::int64_t s = r->spec.slide_ns;
-  const auto aligned = [&](std::int64_t t) {
-    return (t - r->spec.anchor_ns) % s == 0;
-  };
-  if (!aligned(t0_ns) || !aligned(t1_ns)) {
-    return std::nullopt;
-  }
-  if (r->has_dropped && r->newest_dropped_ts >= t0_ns) {
-    // A record at/after t0 fell beyond the horizon — the maintained answer
-    // would silently miss it.
-    return std::nullopt;
-  }
-  std::uint32_t cell = kCellUnset;
-  if (const Tsdb::SeriesRef ref = tsdb_->lookup(device)) {
-    const std::uint64_t ordinal = tsdb_->series_ordinal(ref);
-    if (ordinal < r->cells.size()) {
-      cell = static_cast<std::uint32_t>(r->cells[ordinal]);
-    }
-  }
-  if (cell == kCellUnset || cell == kCellOut) {
-    return HotWindow{};  // no matching records ever: a true zero
-  }
-  const ShardState& ss = r->shards[tsdb_->shard_of(device)];
-  PanePartial acc;
-  for (std::int64_t pane = r->pane_of(t0_ns); pane < r->pane_of(t1_ns);
-       ++pane) {
-    const Pane& slot = ss.panes[r->slot_of(pane) * ss.stride + cell];
-    if (slot.seq != kPaneUnset && slot.seq > pane) {
-      // The slot was reused: this pane's data aged out of the ring.
-      return std::nullopt;
-    }
-    if (slot.seq == pane && slot.partial.count > 0) {
-      acc.combine_from(slot.partial);
-    }
-  }
-  HotWindow out;
-  out.count = acc.count;
-  if (acc.count > 0) {
-    out.mean_current_ma = dequantize(acc.current_q_sum, kCurrentScale) /
-                          static_cast<double>(acc.count);
-    out.min_current_ma = dequantize(acc.current_q_min, kCurrentScale);
-    out.max_current_ma = dequantize(acc.current_q_max, kCurrentScale);
-    out.sum_energy_mwh = dequantize(acc.energy_q_sum, kEnergyScale);
-  }
   return out;
 }
 

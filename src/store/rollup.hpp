@@ -1,8 +1,9 @@
 #pragma once
 // Incremental roll-up engine: materialized sliding-window aggregates
-// maintained *at ingest*, so dashboard-shaped reads (verification windows,
-// fleet health, billing previews, push subscriptions) stop re-folding the
-// same sealed segments on every poll.
+// maintained *at ingest*, so push-shaped consumers (billing previews,
+// dashboard subscriptions) get each closed window without re-folding the
+// same sealed segments on every poll.  Point-in-time reads (verification
+// windows, billing, dashboards) go through store::QueryEngine instead.
 //
 // Model — panes + two-stacks (DABA-Lite-style) window fold:
 //   * Event time is cut into panes of `slide_ns` anchored at `anchor_ns`.
@@ -49,15 +50,15 @@
 // map, so window folds can ride a QueryPool exactly like fleet queries
 // (disjoint shards per worker, merge on the caller).  The engine is
 // owner-thread state: on_ingest runs on the Tsdb's single ingest thread
-// (it is the ingest hook), and register/unregister/drain/hot_window/
-// watermark must run on that same thread (or strictly before/after it, as
-// the serving pipeline's flush() arranges) — the MVCC store lets *queries*
-// race ingest, not the rollup engine's own mutable state.  The whole
-// mutating surface carries EMON_OWNER_THREAD (util/thread_annotations.hpp);
-// tools/emon_lint.py rejects calls from functions that are not themselves
-// owner-thread or a sanctioned worker body.  hot_window and
-// backfill read the store through the ingest thread's guard exemption
-// (store/tsdb.hpp); drains on a pool only ever touch disjoint shards.
+// (it is the ingest hook), and register/unregister/drain/watermark must run
+// on that same thread (or strictly before/after it, as the serving
+// pipeline's flush() arranges) — the MVCC store lets *queries* race ingest,
+// not the rollup engine's own mutable state.  The whole mutating surface
+// carries EMON_OWNER_THREAD (util/thread_annotations.hpp); tools/emon_lint.py
+// rejects calls from functions that are not themselves owner-thread or a
+// sanctioned worker body.  Backfill reads the store through the ingest
+// thread's guard exemption (store/tsdb.hpp); drains on a pool only ever
+// touch disjoint shards.
 
 #include <cstdint>
 #include <map>
@@ -108,17 +109,6 @@ struct ClosedWindow {
   std::map<NetworkId, NetworkUsage> breakdown;
 
   [[nodiscard]] bool empty() const noexcept { return per_device.empty(); }
-};
-
-/// Maintained-window read for a colocated consumer (the verification
-/// window): pane-level fold over [t0, t1), available before the window
-/// closes.  Means come from quantized sums (dequantize(sum)/count).
-struct HotWindow {
-  std::uint64_t count = 0;
-  double mean_current_ma = 0.0;
-  double min_current_ma = 0.0;
-  double max_current_ma = 0.0;
-  double sum_energy_mwh = 0.0;
 };
 
 struct RollupStats {
@@ -174,15 +164,6 @@ class RollupEngine final : public Tsdb::IngestHook {
   /// caller) — results are bit-identical for any worker count.
   [[nodiscard]] std::vector<ClosedWindow> drain(
       std::uint64_t id, const QueryPool* pool = nullptr) EMON_OWNER_THREAD;
-
-  /// Pane-level fold of [t0, t1) for one device, readable before the window
-  /// closes.  nullopt when the rollup cannot answer exactly: unknown id,
-  /// boundaries not pane-aligned, a dropped-late record at/after t0, or
-  /// pane data aged out of the ring — callers fall back to a cold query.
-  /// A device with no matching records yields a zero-count HotWindow.
-  [[nodiscard]] std::optional<HotWindow> hot_window(
-      std::uint64_t id, const DeviceId& device, std::int64_t t0_ns,
-      std::int64_t t1_ns) const EMON_OWNER_THREAD;
 
   [[nodiscard]] const RollupSpec* spec(std::uint64_t id) const;
   [[nodiscard]] const RollupStats* stats(std::uint64_t id) const;

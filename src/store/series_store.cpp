@@ -110,7 +110,7 @@ void SeriesStore::drop_oldest_record() {
 
 bool SeriesStore::enforce_budget() {
   bool dropped_any = false;
-  // Record cap: exact FIFO semantics (LocalStore-compatible).
+  // Record cap: exact FIFO semantics, oldest dropped first.
   while (options_.max_records > 0 && records_ > options_.max_records) {
     drop_oldest_record();
     dropped_any = true;

@@ -7,13 +7,13 @@
 //   sealed (deque)   <- middle: compressed history, oldest first
 //   head (builder)   <- newest: open columns, sealed every seal_threshold
 //
-// This replaces core::LocalStore as the device offline buffer (§II-B "raw
-// consumption data is stored in the local storage") with the same
-// push/pop_batch/push_front contract, but bounded by a *byte* budget over
-// the compressed form as well as an optional record cap: a device offline
-// for hours retains 5-10x more history in the same footprint, and when the
-// budget is exhausted whole oldest segments are evicted with per-record drop
-// accounting (graceful, detectable degradation — never memory growth).
+// This is the device offline buffer (§II-B "raw consumption data is stored
+// in the local storage"): a push/pop_batch/push_front FIFO bounded by a
+// *byte* budget over the compressed form, plus an optional exact record cap
+// (oldest dropped first).  A device offline for hours retains 5-10x more
+// history in the same footprint, and when the budget is exhausted whole
+// oldest segments are evicted with per-record drop accounting (graceful,
+// detectable degradation — never memory growth).
 
 #include <cstddef>
 #include <cstdint>
@@ -28,7 +28,7 @@ namespace emon::store {
 struct SeriesStoreOptions {
   /// Byte budget across front + sealed + head (0 = unbounded).
   std::size_t byte_budget = 256 * 1024;
-  /// Record-count cap, enforced exactly like LocalStore's FIFO (0 = none).
+  /// Record-count cap: an exact FIFO clamp that drops the oldest (0 = none).
   std::size_t max_records = 0;
   /// Records per sealed segment.
   std::size_t seal_threshold = 64;
@@ -59,7 +59,7 @@ class SeriesStore {
   [[nodiscard]] std::size_t byte_budget() const noexcept {
     return options_.byte_budget;
   }
-  /// Record-count cap (LocalStore-compatible accessor; 0 = uncapped).
+  /// Record-count cap (0 = uncapped).
   [[nodiscard]] std::size_t capacity() const noexcept {
     return options_.max_records;
   }

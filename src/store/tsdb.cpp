@@ -539,18 +539,6 @@ std::vector<DeviceId> Tsdb::devices() const {
   return out;
 }
 
-void Tsdb::for_each_device_in_shard(
-    std::size_t shard, const std::function<void(const DeviceId&)>& fn) const {
-  if (shard >= shards_.size()) {
-    return;
-  }
-  const ReadGuard guard = epochs_.pin();
-  const ShardIndex* index = shards_[shard].index.load(std::memory_order_seq_cst);
-  for (const auto& [id, handle] : index->entries) {
-    fn(*id);  // index entries: already sorted by device id
-  }
-}
-
 void Tsdb::for_each_series_in_shard(
     std::size_t shard,
     const std::function<void(const DeviceId&, SeriesRef)>& fn) const {

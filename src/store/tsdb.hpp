@@ -13,10 +13,11 @@
 // shards for fleet-wide reads):
 //   scan()              time-range scan; materializes only matching records
 //   downsample()        fixed windows: avg/max current, energy sum per window
-//   aggregate()         per-device totals over a range, optionally filtered;
-//                       fully-covered sealed segments under an empty filter
-//                       are answered from their summary block alone
-//   current_stats()     filtered mean/min/max of current (verification reads)
+//   aggregate()         per-device totals over a range, optionally filtered
+//                       (verification reads); fully-covered sealed segments
+//                       under an empty filter are answered from their
+//                       summary block alone
+//   current_stats()     filtered mean/min/max of current (dashboard reads)
 //   network_breakdown() per-network record/energy subtotals (billing reads),
 //                       answered from segment dictionaries; only segments
 //                       straddling the bound decode
@@ -277,7 +278,7 @@ class Tsdb {
       const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;
 
-  /// Mean/min/max of current over matching records (verification reads).
+  /// Mean/min/max of current over matching records (dashboard reads).
   [[nodiscard]] util::RunningStats current_stats(
       const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;
@@ -296,11 +297,10 @@ class Tsdb {
   /// overloads below are hash-free.  Caller must hold a read_guard() (the
   /// ingest thread is exempt).
   [[nodiscard]] SeriesRef lookup(const DeviceId& id) const;
-  /// Visits every series owned by shard `shard` in sorted device order.
-  /// The fleet engine's all-devices fold: the per-device re-hash of
-  /// for_each_device_in_shard + public lookup collapses into the index
-  /// walk.  Pins internally; the refs handed to `fn` are valid only during
-  /// that call.
+  /// Visits every series owned by shard `shard` in sorted device order —
+  /// the fleet engine's all-devices fold: one index walk hands out each
+  /// ref, with no per-device re-hash through lookup().  Pins internally;
+  /// the refs handed to `fn` are valid only during that call.
   void for_each_series_in_shard(
       std::size_t shard,
       const std::function<void(const DeviceId&, SeriesRef)>& fn) const;
@@ -356,18 +356,6 @@ class Tsdb {
     return shards_.size();
   }
   [[nodiscard]] std::size_t shard_of(const DeviceId& id) const noexcept;
-  /// Visits every device id owned by shard `shard` in sorted order — the
-  /// query engine's unit of work partitioning, copy-free (a fleet query
-  /// must not materialize 10k id strings per shard just to iterate them).
-  /// Pins internally.
-  void for_each_device_in_shard(
-      std::size_t shard,
-      const std::function<void(const DeviceId&)>& fn) const;
-
-  /// Snapshot objects retired but not yet reclaimed (tests/observability).
-  [[nodiscard]] std::size_t retired_snapshots() const noexcept {
-    return epochs_.retired_count();
-  }
 
  private:
   /// Shard-local storage.  The series map and segment deque are

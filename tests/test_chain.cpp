@@ -154,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProofSweep,
 TEST(Merkle, RootChangesWithAnyLeaf) {
   std::vector<Digest> leaves;
   for (int i = 0; i < 10; ++i) {
-    leaves.push_back(Sha256::hash("v" + std::to_string(i)));
+    leaves.push_back(Sha256::hash(std::string("v").append(std::to_string(i))));
   }
   const Digest original = MerkleTree::root_of(leaves);
   for (std::size_t i = 0; i < leaves.size(); ++i) {

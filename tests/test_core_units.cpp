@@ -9,7 +9,6 @@
 #include "core/anomaly.hpp"
 #include "core/billing.hpp"
 #include "core/energy_meter.hpp"
-#include "core/local_store.hpp"
 #include "core/membership.hpp"
 #include "core/messages.hpp"
 #include "core/protocol.hpp"
@@ -169,65 +168,6 @@ TEST(Messages, BackhaulRoundTrips) {
 TEST(Messages, CtrlTypeNames) {
   EXPECT_STREQ(to_string(CtrlType::kReportAck), "report-ack");
   EXPECT_STREQ(to_string(CtrlType::kReportNack), "report-nack");
-}
-
-// ---------------------------------------------------------------------------
-// LocalStore
-// ---------------------------------------------------------------------------
-
-TEST(LocalStore, FifoOrder) {
-  LocalStore store{10};
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    EXPECT_TRUE(store.push(sample_record(i)));
-  }
-  const auto batch = store.pop_batch(3);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].sequence, 1u);
-  EXPECT_EQ(batch[2].sequence, 3u);
-  EXPECT_EQ(store.size(), 2u);
-}
-
-TEST(LocalStore, OverflowDropsOldest) {
-  LocalStore store{3};
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    store.push(sample_record(i));
-  }
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.dropped(), 2u);
-  const auto batch = store.pop_batch(10);
-  EXPECT_EQ(batch.front().sequence, 3u);  // 1 and 2 were dropped
-  EXPECT_EQ(batch.back().sequence, 5u);
-}
-
-TEST(LocalStore, PushFrontPreservesOrder) {
-  LocalStore store{10};
-  store.push(sample_record(4));
-  store.push_front({sample_record(1), sample_record(2), sample_record(3)});
-  const auto batch = store.pop_batch(10);
-  ASSERT_EQ(batch.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(batch[i].sequence, i + 1);
-  }
-}
-
-TEST(LocalStore, PopBatchBounded) {
-  LocalStore store{10};
-  store.push(sample_record(1));
-  EXPECT_EQ(store.pop_batch(100).size(), 1u);
-  EXPECT_TRUE(store.pop_batch(100).empty());
-}
-
-TEST(LocalStore, PeakTracksHighWater) {
-  LocalStore store{100};
-  for (std::uint64_t i = 0; i < 30; ++i) {
-    store.push(sample_record(i));
-  }
-  (void)store.pop_batch(25);
-  EXPECT_EQ(store.peak_size(), 30u);
-}
-
-TEST(LocalStore, RejectsZeroCapacity) {
-  EXPECT_THROW(LocalStore{0}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

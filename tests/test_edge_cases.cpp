@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/local_store.hpp"
 #include "core/protocol.hpp"
 #include "core/records.hpp"
 #include "core/scenario.hpp"
@@ -266,24 +265,6 @@ TEST(KernelEdge, ScheduleAtCurrentTimeInsideCallbackRunsAfter) {
   // FIFO among same-time events: the nested event runs after pre-existing
   // same-time events.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
-}
-
-// ---------------------------------------------------------------------------
-// Store boundary conditions
-// ---------------------------------------------------------------------------
-
-TEST(StoreEdge, PushFrontBeyondCapacityTrimsOldest) {
-  LocalStore store{3};
-  std::vector<ConsumptionRecord> batch(5);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    batch[i].sequence = i + 1;
-  }
-  store.push_front(std::move(batch));
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.dropped(), 2u);
-  const auto out = store.pop_batch(10);
-  EXPECT_EQ(out.front().sequence, 3u);  // oldest two trimmed
-  EXPECT_EQ(out.back().sequence, 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -594,7 +594,7 @@ TEST(Tdma, SlotsNeverOverlap) {
   TdmaSchedule sched{TdmaParams{milliseconds(100), milliseconds(5)}};
   std::vector<std::string> ids;
   for (std::size_t i = 0; i < sched.capacity(); ++i) {
-    ids.push_back("d" + std::to_string(i));
+    ids.push_back(std::string("d").append(std::to_string(i)));
     ASSERT_TRUE(sched.allocate(ids.back()).has_value());
   }
   std::set<std::int64_t> offsets;

@@ -536,18 +536,39 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   }
   const QueryEngine engine{db, QueryEngineOptions{4}};
   core::BillingService backed{"wan-0", core::Tariff{}};
-  backed.bind_store(&db);
   backed.bind_engine(&engine);
+  // One billable device's scope mark lies after all of its history (an
+  // ownership transfer after its last record): it is billed nothing.
+  const core::DeviceId late_mark = fleet.devices.back();
   for (const auto& id : fleet.devices) {
-    backed.mark_billable(id);
+    backed.mark_billable(id, id == late_mark ? fleet.t_max_ns + 1 : INT64_MIN);
   }
 
   const double tolerance = 300.0 * kEnergyToleranceMwh;
-  EXPECT_NEAR(backed.total_energy_mwh(), exact.total_energy_mwh(),
+  EXPECT_NEAR(backed.total_energy_mwh(),
+              exact.total_energy_mwh() -
+                  exact.invoice_for(late_mark).total_energy_mwh,
               tolerance * static_cast<double>(fleet.devices.size()));
   const auto invoices = backed.invoice_all();
   ASSERT_EQ(invoices.size(), fleet.devices.size());
   for (const auto& invoice : invoices) {
+    // invoice_all agrees with the per-device read bit-for-bit, line by line.
+    const auto single = backed.invoice_for(invoice.device_id);
+    ASSERT_EQ(invoice.lines.size(), single.lines.size()) << invoice.device_id;
+    for (std::size_t l = 0; l < invoice.lines.size(); ++l) {
+      EXPECT_EQ(invoice.lines[l].network, single.lines[l].network);
+      EXPECT_EQ(invoice.lines[l].records, single.lines[l].records);
+      EXPECT_EQ(invoice.lines[l].energy_mwh, single.lines[l].energy_mwh);
+      EXPECT_EQ(invoice.lines[l].cost, single.lines[l].cost);
+    }
+    EXPECT_EQ(invoice.total_energy_mwh, single.total_energy_mwh);
+    EXPECT_EQ(invoice.total_cost, single.total_cost);
+    if (invoice.device_id == late_mark) {
+      EXPECT_TRUE(invoice.lines.empty());
+      EXPECT_EQ(invoice.total_energy_mwh, 0.0);
+      EXPECT_EQ(invoice.total_cost, 0.0);
+      continue;
+    }
     const auto want = exact.invoice_for(invoice.device_id);
     EXPECT_NEAR(invoice.total_energy_mwh, want.total_energy_mwh, tolerance)
         << invoice.device_id;
@@ -557,13 +578,9 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
       EXPECT_EQ(invoice.lines[l].records, want.lines[l].records);
       EXPECT_NEAR(invoice.lines[l].cost, want.lines[l].cost, 1e-6);
     }
-    // invoice_all agrees with the per-device read.
-    const auto single = backed.invoice_for(invoice.device_id);
-    EXPECT_EQ(invoice.total_energy_mwh, single.total_energy_mwh);
   }
   // Billing-scope marks ride the fleet query as t0 overrides.
   core::BillingService scoped{"wan-0", core::Tariff{}};
-  scoped.bind_store(&db);
   scoped.bind_engine(&engine);
   const std::int64_t cut =
       fleet.t_min_ns + (fleet.t_max_ns - fleet.t_min_ns) / 2;
@@ -576,7 +593,6 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   EXPECT_NEAR(scoped.total_energy_mwh(), want_energy, 1e-9);
   // No billable devices: the engine path must not widen to every device.
   core::BillingService empty{"wan-0", core::Tariff{}};
-  empty.bind_store(&db);
   empty.bind_engine(&engine);
   EXPECT_EQ(empty.total_energy_mwh(), 0.0);
   EXPECT_TRUE(empty.invoice_all().empty());

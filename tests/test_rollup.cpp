@@ -10,9 +10,7 @@
 //   * tumbling / sliding / filtered / device-scoped windows vs cold queries
 //   * mid-stream registration backfill, pool-parallel drain determinism
 //   * seeded out-of-order ingest fuzz with drains interleaved
-//   * beyond-horizon late records: counted, dropped to the cold path,
-//     hot_window refuses to answer
-//   * hot (pre-close) window reads vs cold aggregates
+//   * beyond-horizon late records: counted, dropped to the cold path
 //   * subscribe/ack/push/unsubscribe over a real broker + client pair,
 //     rollup sharing, re-subscribe, rejects, malformed frames
 //   * broker fan-out batching (one wire frame, N recipients)
@@ -676,10 +674,6 @@ TEST(RollupLateness, BeyondHorizonRecordFallsToColdPath) {
   q.t0_ns = first.t0_ns;
   q.t1_ns = first.t1_ns;
   EXPECT_EQ(engine.aggregate(q).merged.count, emitted_count + 1);
-
-  // And the hot read refuses to serve a range it knows it under-counts.
-  EXPECT_FALSE(
-      rollups.hot_window(id, "dev-1", first.t0_ns, first.t1_ns).has_value());
 }
 
 TEST(RollupLateness, RunawayWatermarkGapSkipsInsteadOfFlooding) {
@@ -702,53 +696,6 @@ TEST(RollupLateness, RunawayWatermarkGapSkipsInsteadOfFlooding) {
   const RollupStats* stats = rollups.stats(id);
   ASSERT_NE(stats, nullptr);
   EXPECT_GT(stats->windows_skipped, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Hot (pre-close) window reads
-// ---------------------------------------------------------------------------
-
-TEST(RollupHotWindow, MatchesColdAggregateBeforeClose) {
-  Tsdb db{TsdbOptions{4, 32}};
-  RollupEngine rollups{db};
-  db.set_ingest_hook(&rollups);
-
-  RollupSpec spec;
-  spec.window_ns = kSecond;
-  spec.slide_ns = kSecond;
-  spec.lateness_ns = 500 * kMs;
-  const std::uint64_t id = rollups.register_rollup(spec);
-
-  ingest_all(db, make_fleet(3, 9, 2, 41));  // all inside [0, 1 s)
-
-  const QueryEngine engine{db, QueryEngineOptions{1}};
-  for (const core::DeviceId device : {"dev-1", "dev-2", "dev-3"}) {
-    const auto hot = rollups.hot_window(id, device, 0, kSecond);
-    ASSERT_TRUE(hot.has_value()) << device;
-    QuerySpec q;
-    q.devices = {device};
-    q.t0_ns = 0;
-    q.t1_ns = kSecond;
-    const FleetAggregate cold = engine.aggregate(q);
-    ASSERT_EQ(cold.per_device.size(), 1u);
-    const DeviceAggregate& agg = cold.per_device[0].second;
-    EXPECT_EQ(hot->count, agg.count);
-    // Same quantized epilogue on both sides: exact equality, not NEAR.
-    EXPECT_EQ(hot->mean_current_ma, agg.avg_current_ma);
-    EXPECT_EQ(hot->min_current_ma, agg.min_current_ma);
-    EXPECT_EQ(hot->max_current_ma, agg.max_current_ma);
-    EXPECT_EQ(hot->sum_energy_mwh, agg.sum_energy_mwh);
-  }
-
-  // Unknown device: a true zero, not a refusal.
-  const auto unknown = rollups.hot_window(id, "dev-none", 0, kSecond);
-  ASSERT_TRUE(unknown.has_value());
-  EXPECT_EQ(unknown->count, 0u);
-
-  // Unaligned bounds and unknown rollup ids are refusals.
-  EXPECT_FALSE(rollups.hot_window(id, "dev-1", 1, kSecond).has_value());
-  EXPECT_FALSE(rollups.hot_window(id, "dev-1", 0, kSecond + 7).has_value());
-  EXPECT_FALSE(rollups.hot_window(9999, "dev-1", 0, kSecond).has_value());
 }
 
 }  // namespace

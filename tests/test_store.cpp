@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/billing.hpp"
-#include "core/local_store.hpp"
 #include "core/records.hpp"
 #include "store/segment.hpp"
 #include "store/series_store.hpp"
@@ -417,7 +416,7 @@ TEST(SeriesStore, PushFrontPreservesOrder) {
   }
 }
 
-TEST(SeriesStore, RecordCapMatchesLocalStoreSemantics) {
+TEST(SeriesStore, RecordCapIsAnExactFifoClamp) {
   SeriesStoreOptions opt;
   opt.byte_budget = 0;
   opt.max_records = 50;
@@ -437,6 +436,18 @@ TEST(SeriesStore, RecordCapMatchesLocalStoreSemantics) {
   ASSERT_EQ(out.size(), 50u);
   EXPECT_EQ(out.front().sequence, records[123].sequence);
   EXPECT_EQ(out.back().sequence, records.back().sequence);
+  // A re-buffered batch larger than the cap trims its oldest records and
+  // counts them, keeping the newest 50 of the batch in order.
+  std::vector<ConsumptionRecord> batch(records.begin(), records.begin() + 70);
+  store.push_front(std::move(batch));
+  EXPECT_EQ(store.size(), 50u);
+  EXPECT_EQ(store.dropped(), 123u + 20u);
+  EXPECT_EQ(store.peak_size(), 50u);
+  const auto rebuffered = store.pop_batch(1000);
+  ASSERT_EQ(rebuffered.size(), 50u);
+  for (std::size_t i = 0; i < rebuffered.size(); ++i) {
+    EXPECT_EQ(rebuffered[i].sequence, records[20 + i].sequence);
+  }
 }
 
 TEST(SeriesStore, ByteBudgetEvictsOldestSegmentsWithAccounting) {
@@ -639,25 +650,6 @@ TEST(SeriesStore, RejectsUnboundedAndZeroThreshold) {
   SeriesStoreOptions zero_seal;
   zero_seal.seal_threshold = 0;
   EXPECT_THROW(SeriesStore{zero_seal}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// LocalStore counter reset (the legacy FIFO keeps its contract)
-// ---------------------------------------------------------------------------
-
-TEST(LocalStoreCounters, ResetCountersRebases) {
-  core::LocalStore store{3};
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ConsumptionRecord r;
-    r.sequence = i;
-    store.push(std::move(r));
-  }
-  EXPECT_EQ(store.dropped(), 7u);
-  store.clear();
-  EXPECT_EQ(store.dropped(), 7u);  // clear() preserves counters...
-  store.reset_counters();          // ...reset_counters() zeroes them
-  EXPECT_EQ(store.dropped(), 0u);
-  EXPECT_EQ(store.peak_size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1026,6 +1018,7 @@ TEST(Tsdb, RangeQueryReproducesBillingWithinQuantizationTolerance) {
     db.ingest(r);
     exact.ingest(r);
   }
+  const QueryEngine engine{db};
   for (std::size_t d = 1; d <= 5; ++d) {
     const core::DeviceId id = "dev-" + std::to_string(d);
     const auto exact_invoice = exact.invoice_for(id);
@@ -1038,7 +1031,7 @@ TEST(Tsdb, RangeQueryReproducesBillingWithinQuantizationTolerance) {
         << id;
     // Store-backed billing sees the same totals.
     core::BillingService backed{"wan-1", core::Tariff{}};
-    backed.bind_store(&db);
+    backed.bind_engine(&engine);
     backed.mark_billable(id);
     const auto backed_invoice = backed.invoice_for(id);
     EXPECT_NEAR(backed_invoice.total_energy_mwh,
@@ -1082,8 +1075,9 @@ TEST(Tsdb, NetworkBreakdownHonorsFromBound) {
   EXPECT_EQ(got_records, want_records);
   EXPECT_NEAR(got_energy, want_energy, 1e-9);
   // Store-backed billing applies the bound through mark_billable.
+  const QueryEngine engine{db};
   core::BillingService billing{"wan-1", core::Tariff{}};
-  billing.bind_store(&db);
+  billing.bind_engine(&engine);
   billing.mark_billable("dev-1", cut);
   EXPECT_NEAR(billing.invoice_for("dev-1").total_energy_mwh, got_energy,
               1e-9);
