@@ -5,7 +5,7 @@
 // through util/alloc_probe.hpp's counting operator new, in three phases:
 //
 //   cold     the first record of every device: series creation, chunk and
-//            dedup-ring setup, rollup series/net-pane layout.  Allocations
+//            dedup-run setup, rollup series/net-pane layout.  Allocations
 //            here are by design (init_series and friends are the cold
 //            branches the lint lets the hot bodies call into).
 //   warmup   records 2..warmup: capacity doublings amortizing out.

@@ -258,17 +258,14 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
   reports_total_.inc();
   member.last_seen = kernel_.now();
   const std::int64_t now_ns = kernel_.now().ns();
+  const bool home = member.kind == MembershipKind::kHome;
 
-  std::vector<ConsumptionRecord> fresh;
+  std::vector<ConsumptionRecord> forward;  // temporaries only
   for (const auto& record : report.records) {
-    if (!member.seen_sequences.insert(record.sequence).second) {
-      continue;  // duplicate (retransmission, or probe/backlog overlap)
+    if (!accept_record(record, home)) {
+      continue;
     }
     member.last_sequence = std::max(member.last_sequence, record.sequence);
-    fresh.push_back(record);
-  }
-
-  for (const auto& record : fresh) {
     ++stats_.records_accepted;
     records_total_.inc();
     if (record.stored_offline) {
@@ -280,25 +277,15 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
       ingest_lag_ns_.record(
           static_cast<std::uint64_t>(now_ns - record.timestamp_ns));
     }
-    // Every accepted record becomes queryable history; the verification
-    // window reads it back as a store query (live records only — buffered
-    // ones describe past windows and would double-count).
-    tsdb_.ingest(record);
-    if (trace_ != nullptr) {
-      trace_->append("reported." + id_ + "." + record.device_id,
-                     sim::SimTime{record.timestamp_ns}, record.current_ma);
-      trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
-                     record.current_ma);
-    }
-    if (member.kind == MembershipKind::kHome) {
-      queue_for_chain(record);
+    if (!home) {
+      forward.push_back(record);
     }
   }
 
-  if (member.kind == MembershipKind::kTemporary && !fresh.empty()) {
+  if (!forward.empty()) {
     // Forward on behalf of the master ("These values are in turn
     // transmitted back to the home network using the Master address").
-    RoamRecords roam{report.device_id, id_, std::move(fresh)};
+    RoamRecords roam{report.device_id, id_, std::move(forward)};
     backhaul_.send(net::Frame{id_, member.master_addr, protocol::seal(roam)});
     ++stats_.roam_batches_forwarded;
   }
@@ -393,6 +380,24 @@ void Aggregator::refresh_stage_saturation() {
   rollup_pump_busy_ppm_.set(busy_ppm(pump_stage_ns_.summary().sum));
 }
 
+bool Aggregator::accept_record(const ConsumptionRecord& record, bool home) {
+  // A retransmission, probe/backlog overlap, double roam forward or resend
+  // after re-registration stops here, at the store's sequence verdict.
+  if (!tsdb_.ingest(record)) {
+    return false;
+  }
+  if (trace_ != nullptr) {
+    trace_->append("reported." + id_ + "." + record.device_id,
+                   sim::SimTime{record.timestamp_ns}, record.current_ma);
+    trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
+                   record.current_ma);
+  }
+  if (home) {
+    queue_for_chain(record);
+  }
+  return true;
+}
+
 void Aggregator::queue_for_chain(const ConsumptionRecord& record) {
   pending_records_.push_back(serialize_record(record));
 }
@@ -432,19 +437,9 @@ void Aggregator::handle_backhaul(const net::Frame& frame) {
             }
             member->roaming_host = roam.collector;
             billing_.mark_billable(roam.device_id);
+            stats_.roam_records_received += roam.records.size();
             for (const auto& record : roam.records) {
-              ++stats_.roam_records_received;
-              if (!tsdb_.ingest(record)) {
-                continue;  // duplicate forward — already on the books
-              }
-              queue_for_chain(record);
-              if (trace_ != nullptr) {
-                trace_->append("reported." + id_ + "." + record.device_id,
-                               sim::SimTime{record.timestamp_ns},
-                               record.current_ma);
-                trace_->append("arrival." + id_ + "." + record.device_id,
-                               kernel_.now(), record.current_ma);
-              }
+              accept_record(record, /*home=*/true);
             }
             subscriptions_.pump();
           },

@@ -194,7 +194,14 @@ class Aggregator {
   /// (two writers may append to the shared chain faster than the backhaul
   /// delivers their broadcasts).
   void sync_replica(chain::Block block) EMON_OWNER_THREAD_CONTEXT;
+  /// A member's Report: accept_record each record, forward a temporary's
+  /// accepted ones home in one RoamRecords batch, Ack the highest.
   void accept_records(MemberEntry& member, const Report& report)
+      EMON_OWNER_THREAD_CONTEXT;
+  /// The per-record step of the Report and RoamRecords paths: false for a
+  /// duplicate by tsdb_'s ingest verdict (the only dedup); else traces the
+  /// record and, when `home` owns the device, queues it for the chain.
+  bool accept_record(const ConsumptionRecord& record, bool home)
       EMON_OWNER_THREAD_CONTEXT;
   void queue_for_chain(const ConsumptionRecord& record)
       EMON_OWNER_THREAD_CONTEXT;
@@ -278,7 +285,7 @@ class Aggregator {
   // Pipeline stage instruments (wall-clock timers are side-band; the
   // sim-time lag histogram records values the sim already computed).
   obs::Histogram ingest_frame_ns_;   // agg_ingest_frame_ns: decode+dispatch
-  obs::Histogram report_append_ns_;  // agg_report_append_ns: dedup+ingest fold
+  obs::Histogram report_append_ns_;  // agg_report_append_ns: accept_records
   obs::Histogram ingest_lag_ns_;     // agg_ingest_lag_ns: sim arrival - stamp
   obs::Counter reports_total_;       // agg_reports_total
   obs::Counter records_total_;       // agg_records_total

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,10 +31,8 @@ struct MemberEntry {
   /// For home members currently roaming: the aggregator hosting them
   /// (empty when at home).
   std::string roaming_host;
-  /// Record sequences already accepted (duplicate suppression across
-  /// QoS-1 retransmissions and probe/backlog overlaps).
-  std::set<std::uint64_t> seen_sequences;
-  /// Highest record sequence accepted (reported back in Acks).
+  /// Highest sequence the store accepted from this member (sent in Acks);
+  /// the aggregator's Tsdb ingest verdict is its only dedup.
   std::uint64_t last_sequence = 0;
 };
 

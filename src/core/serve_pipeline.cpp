@@ -164,30 +164,27 @@ void ServePipeline::worker_loop() {
 
 void ServePipeline::ingest_item(Item& item, ServePipelineStats& local) {
   const obs::ScopedTimer timer(ingest_item_ns_);
-  if (auto* frame = std::get_if<std::vector<std::uint8_t>>(&item)) {
-    auto decoded = protocol::decode_any(*frame);
+  std::vector<ConsumptionRecord> decoded_records;  // a frame's, freed here
+  const auto* records = std::get_if<std::vector<ConsumptionRecord>>(&item);
+  if (records == nullptr) {
+    auto decoded =
+        protocol::decode_any(std::get<std::vector<std::uint8_t>>(item));
     if (!decoded) {
       ++local.malformed_frames;
       return;
     }
-    const auto* report = std::get_if<Report>(&decoded.value());
+    auto* report = std::get_if<Report>(&decoded.value());
     if (report == nullptr) {
       ++local.unexpected_frames;
       return;
     }
     ++local.frames_ingested;
-    for (const auto& record : report->records) {
-      if (tsdb_->ingest(record)) {
-        ++local.records_accepted;
-      } else {
-        ++local.records_duplicate;
-      }
-    }
-    return;
+    decoded_records = std::move(report->records);
+    records = &decoded_records;
+  } else {
+    ++local.record_batches_ingested;
   }
-  auto& records = std::get<std::vector<ConsumptionRecord>>(item);
-  ++local.record_batches_ingested;
-  for (const auto& record : records) {
+  for (const auto& record : *records) {
     if (tsdb_->ingest(record)) {
       ++local.records_accepted;
     } else {

@@ -8,10 +8,6 @@
 namespace emon::store {
 
 namespace {
-/// Sequences remembered per device for duplicate suppression.  At 10 Hz
-/// reporting this covers ~7 minutes of re-arrival horizon in O(1) memory.
-constexpr std::size_t kDedupWindow = 4096;
-
 /// Hard cap on windows a single downsample may materialize (~59 MB of
 /// WindowAggregate worst case).  Observed timestamps are unvalidated device
 /// RTC readings, so clamping the range to them is not enough: one corrupt
@@ -150,80 +146,82 @@ struct Tsdb::ShardIndex {
   std::vector<std::pair<const DeviceId*, const SeriesHandle*>> entries;
 };
 
-/// Bounded per-device sequence dedup as a sorted circular window.  The
-/// std::set it replaces allocated (and freed) one tree node per record in
-/// steady state — exactly what the EMON_HOT zero-allocation contract on
-/// ingest() forbids (tools/emon_lint.py checks the body statically,
-/// tests/test_hot_alloc.cpp counts operator new at runtime).  Membership
-/// and eviction semantics are identical to the old insert-then-prune set:
-/// the window remembers the largest kDedupWindow sequences seen, and a
-/// sequence below the window's floor is accepted but not remembered (every
-/// real duplicate source — QoS-1 retransmit, probe overlap, double
-/// roam-forward — re-arrives near the high-water mark).  The ring's
-/// capacity grows geometrically to kDedupWindow and then never again;
-/// arrivals are near-monotonic, so the common insert is an append at the
-/// back and eviction is a head advance — both O(1), no allocation.
+/// Exact per-device sequence dedup: the accepted sequences as sorted,
+/// disjoint, non-adjacent runs [first, last].  A device numbers its records
+/// contiguously, so there is one run while records arrive in order and one
+/// more per hole a late batch (offline backlog, roamed slice) has not yet
+/// filled; filling a hole merges its two neighbours.  Memory is one run per
+/// open hole, not one entry per record, and a resend is caught however many
+/// newer sequences came in between.  It must be: this verdict is the
+/// aggregator's only dedup and so decides what reaches its chain, and a
+/// report whose PUBACK was lost re-queues behind the rest of a device's
+/// offline backlog (up to local_store_capacity records).
+/// The common arrival extends the newest run in O(1); any other is a binary
+/// search over the runs.  Only a new hole grows the vector (cold: add_run);
+/// extending, merging and dropping a duplicate never allocate.
 class SequenceDedup {
  public:
-  /// True when `seq` is first-seen inside the window (accept the record),
-  /// false for a duplicate.
+  /// True when `seq` was never admitted before (accept the record), false
+  /// for a duplicate.
   EMON_HOT bool admit(std::uint64_t seq) {
-    // Binary search over the logical (sorted) window.
+    if (!runs_.empty() && seq >= runs_.back().first) {
+      Run& newest = runs_.back();
+      if (seq <= newest.last) {
+        return false;
+      }
+      if (seq == newest.last + 1) {
+        newest.last = seq;
+      } else {
+        add_run(runs_.size(), seq);
+      }
+      return true;
+    }
+    // Below the newest run: find the first run that starts after `seq`.
     std::size_t lo = 0;
-    std::size_t hi = size_;
+    std::size_t hi = runs_.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (slot(mid) < seq) {
+      if (runs_[mid].first <= seq) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    if (lo < size_ && slot(lo) == seq) {
+    if (lo > 0 && seq <= runs_[lo - 1].last) {
       return false;
     }
-    if (size_ == kDedupWindow) {
-      if (lo == 0) {
-        // Below the window floor while full: the old code inserted the
-        // sequence and immediately erased it as the smallest — net effect,
-        // accepted but not remembered.
-        return true;
-      }
-      begin_ = (begin_ + 1) & (slots_.size() - 1);
-      --size_;
-      --lo;
+    const bool joins_prev = lo > 0 && runs_[lo - 1].last + 1 == seq;
+    const bool joins_next = lo < runs_.size() && runs_[lo].first == seq + 1;
+    if (joins_prev && joins_next) {
+      merge_with_prev(lo);
+    } else if (joins_prev) {
+      runs_[lo - 1].last = seq;
+    } else if (joins_next) {
+      runs_[lo].first = seq;
+    } else {
+      add_run(lo, seq);
     }
-    if (size_ + 1 > slots_.size()) {
-      grow();
-    }
-    for (std::size_t i = size_; i > lo; --i) {
-      slot(i) = slot(i - 1);
-    }
-    slot(lo) = seq;
-    ++size_;
     return true;
   }
 
  private:
-  [[nodiscard]] std::uint64_t& slot(std::size_t logical) noexcept {
-    return slots_[(begin_ + logical) & (slots_.size() - 1)];
+  struct Run {
+    std::uint64_t first;
+    std::uint64_t last;
+  };
+
+  /// Cold: a new hole, so a new run {seq, seq} at position `at`.
+  void add_run(std::size_t at, std::uint64_t seq) {
+    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(at),
+                 Run{seq, seq});
   }
-  /// Cold: doubles the ring (16 -> ... -> kDedupWindow, power of two) and
-  /// linearizes it; runs at most log2(kDedupWindow/16) + 1 times per
-  /// device, during warmup.
-  void grow() {
-    std::vector<std::uint64_t> bigger(
-        std::max<std::size_t>(16, slots_.size() * 2));
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = slot(i);
-    }
-    slots_ = std::move(bigger);
-    begin_ = 0;
+  /// The hole between runs `at - 1` and `at` is filled: they become one.
+  void merge_with_prev(std::size_t at) {
+    runs_[at - 1].last = runs_[at].last;
+    runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(at));
   }
 
-  std::vector<std::uint64_t> slots_;
-  std::size_t begin_ = 0;
-  std::size_t size_ = 0;
+  std::vector<Run> runs_;
 };
 
 /// Writer-only per-series state (map value).  Everything a reader needs

@@ -241,10 +241,11 @@ class Tsdb {
     std::size_t shard = 0;
   };
 
-  /// Ingests one record; returns false for a per-device duplicate sequence.
-  /// Single-writer: one thread only.  EMON_HOT: the steady-state path (no
-  /// first-seen device, no chunk growth, no seal) performs zero heap
-  /// allocations per record — tools/emon_lint.py checks the body statically
+  /// Ingests one record; returns false when the device's sequence was
+  /// ingested before, however long ago.  Single-writer: one thread only.
+  /// EMON_HOT: the steady-state path (no first-seen device, no new sequence
+  /// hole, no chunk growth, no seal) performs zero heap allocations per
+  /// record — tools/emon_lint.py checks the body statically
   /// and tests/test_hot_alloc.cpp counts operator new at runtime.
   bool ingest(const ConsumptionRecord& record) EMON_OWNER_THREAD EMON_HOT;
 

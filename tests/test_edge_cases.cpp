@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "core/protocol.hpp"
 #include "core/records.hpp"
 #include "core/scenario.hpp"
@@ -237,6 +241,272 @@ TEST(RoamDenial, MasterRefusesUnknownDevice) {
   EXPECT_EQ(bed.aggregator(1).members().find("stranger"), nullptr);
   EXPECT_GE(bed.aggregator(1).stats().registrations_rejected, 1u);
   EXPECT_GE(bed.aggregator(0).stats().verify_queries_answered, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One dedup on the ingest path: the store's sequence verdict decides what an
+// aggregator counts, traces, forwards and puts on the chain — whether the
+// record came as a direct Report or as a RoamRecords forward.
+// ---------------------------------------------------------------------------
+
+/// A record of device(0) drawn at `network`, stamped now, with a sequence far
+/// above anything the device itself sends during these tests.
+ConsumptionRecord injected_record(Testbed& bed, std::size_t network,
+                                  std::uint64_t seq) {
+  ConsumptionRecord r;
+  r.device_id = bed.device(0).id();
+  r.sequence = seq;
+  r.timestamp_ns = bed.kernel().now().ns();
+  r.interval_ns = milliseconds(100).ns();
+  r.current_ma = 50.0;
+  r.bus_voltage_mv = 5000.0;
+  r.energy_mwh = 0.007;
+  r.network = bed.network_name(network);
+  r.membership = network == bed.home_of(0) ? MembershipKind::kHome
+                                           : MembershipKind::kTemporary;
+  return r;
+}
+
+/// A report published at `agg`'s broker as if the device sent it; the
+/// aggregator handles it before this returns.
+void publish_report(Aggregator& agg, const Report& report) {
+  agg.broker().publish_from_host(
+      net::MqttMessage{protocol::topic_report(report.device_id),
+                       protocol::seal(report), 0, report.device_id});
+}
+
+/// `visitor` forwards `records` home to `home` over the backhaul.
+void forward_roam(Testbed& bed, const Aggregator& visitor,
+                  const Aggregator& home,
+                  std::vector<ConsumptionRecord> records) {
+  const RoamRecords roam{records.front().device_id, visitor.id(),
+                         std::move(records)};
+  bed.backhaul().send(
+      net::Frame{visitor.id(), home.id(), protocol::seal(roam), 0});
+}
+
+/// Copies of (device, seq) on the shared ledger.
+std::size_t on_chain(Testbed& bed, const DeviceId& device,
+                     std::uint64_t seq) {
+  std::size_t n = 0;
+  for (const auto& block : bed.chain().ledger().blocks()) {
+    for (const auto& bytes : block.records) {
+      const ConsumptionRecord r = deserialize_record(bytes);
+      n += r.device_id == device && r.sequence == seq ? 1 : 0;
+    }
+  }
+  return n;
+}
+
+/// Copies of (device, seq) in `agg`'s store.
+std::size_t in_store(const Aggregator& agg, const DeviceId& device,
+                     std::uint64_t seq) {
+  const auto records = agg.tsdb().scan(device, INT64_MIN, INT64_MAX);
+  return static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [seq](const ConsumptionRecord& r) {
+                      return r.sequence == seq;
+                    }));
+}
+
+TEST(IngestDedup, RoamForwardThenDirectReportReachesChainOnce) {
+  // The same record reaches its home aggregator twice: first as a roam
+  // forward, then as a direct report.  The second arrival is a duplicate on
+  // both paths — not counted, not traced, not queued for the chain.
+  Testbed bed{small_params(11)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  const DeviceId dev = bed.device(0).id();
+  const ConsumptionRecord record = injected_record(bed, 1, 900000);
+  forward_roam(bed, bed.aggregator(1), home, {record});
+  bed.run_for(seconds(1));
+  ASSERT_EQ(in_store(home, dev, 900000), 1u);
+
+  const auto accepted = home.stats().records_accepted;
+  const auto dups = home.tsdb().stats().duplicates_dropped;
+  publish_report(home, Report{dev, {record}});
+  EXPECT_EQ(home.stats().records_accepted, accepted);
+  EXPECT_EQ(home.tsdb().stats().duplicates_dropped, dups + 1);
+
+  bed.run_for(seconds(12));
+  EXPECT_EQ(on_chain(bed, dev, 900000), 1u);
+  EXPECT_EQ(in_store(home, dev, 900000), 1u);
+  EXPECT_TRUE(bed.chain().validate().ok);
+}
+
+TEST(IngestDedup, DoubleRoamForwardReachesChainOnce) {
+  Testbed bed{small_params(13)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  const DeviceId dev = bed.device(0).id();
+  const ConsumptionRecord record = injected_record(bed, 1, 900001);
+  const auto received = home.stats().roam_records_received;
+  const auto dups = home.tsdb().stats().duplicates_dropped;
+  forward_roam(bed, bed.aggregator(1), home, {record});
+  forward_roam(bed, bed.aggregator(1), home, {record});
+  bed.run_for(seconds(12));
+  EXPECT_EQ(home.stats().roam_records_received, received + 2);
+  EXPECT_GE(home.tsdb().stats().duplicates_dropped, dups + 1);
+  EXPECT_EQ(in_store(home, dev, 900001), 1u);
+  EXPECT_EQ(on_chain(bed, dev, 900001), 1u);
+}
+
+TEST(IngestDedup, SequenceRepeatedInsideOneReportIsAcceptedOnce) {
+  Testbed bed{small_params(14)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  const DeviceId dev = bed.device(0).id();
+  const ConsumptionRecord record = injected_record(bed, 0, 900002);
+  const auto accepted = home.stats().records_accepted;
+  const auto dups = home.tsdb().stats().duplicates_dropped;
+  publish_report(home, Report{dev, {record, record}});
+  EXPECT_EQ(home.stats().records_accepted, accepted + 1);
+  EXPECT_EQ(home.tsdb().stats().duplicates_dropped, dups + 1);
+  bed.run_for(seconds(12));
+  EXPECT_EQ(in_store(home, dev, 900002), 1u);
+  EXPECT_EQ(on_chain(bed, dev, 900002), 1u);
+}
+
+TEST(IngestDedup, ReRegisteredVisitorNeitherReStoresNorReForwards) {
+  // A visitor's membership table forgets a device on removal; its store
+  // does not.  A record the visitor already holds (and forwarded) must not
+  // be ingested or forwarded again after the device re-registers there.
+  Testbed bed{small_params(15)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  Aggregator& visitor = bed.aggregator(1);
+  const DeviceId dev = bed.device(0).id();
+  const auto register_at_visitor = [&] {
+    visitor.broker().publish_from_host(net::MqttMessage{
+        protocol::topic_register(dev),
+        protocol::seal(RegisterRequest{dev, home.id()}), 0, dev});
+    bed.run_for(seconds(2));  // verify_device round trip to the master
+    const MemberEntry* member = visitor.members().find(dev);
+    ASSERT_NE(member, nullptr);
+    EXPECT_EQ(member->kind, MembershipKind::kTemporary);
+  };
+
+  register_at_visitor();
+  const ConsumptionRecord record = injected_record(bed, 1, 900003);
+  const auto forwarded = visitor.stats().roam_batches_forwarded;
+  publish_report(visitor, Report{dev, {record}});
+  EXPECT_EQ(visitor.stats().roam_batches_forwarded, forwarded + 1);
+  bed.run_for(seconds(2));
+  ASSERT_EQ(in_store(home, dev, 900003), 1u);
+
+  visitor.remove_membership(dev, "reset");
+  ASSERT_EQ(visitor.members().find(dev), nullptr);
+  register_at_visitor();
+
+  const auto accepted = visitor.stats().records_accepted;
+  const auto dups = visitor.tsdb().stats().duplicates_dropped;
+  publish_report(visitor, Report{dev, {record}});
+  EXPECT_EQ(visitor.stats().records_accepted, accepted);
+  EXPECT_EQ(visitor.stats().roam_batches_forwarded, forwarded + 1);
+  EXPECT_EQ(visitor.tsdb().stats().duplicates_dropped, dups + 1);
+
+  bed.run_for(seconds(12));
+  EXPECT_EQ(in_store(visitor, dev, 900003), 1u);
+  EXPECT_EQ(in_store(home, dev, 900003), 1u);
+  EXPECT_EQ(on_chain(bed, dev, 900003), 1u);
+}
+
+TEST(IngestDedup, AckCarriesHighestSequenceTheStoreAccepted) {
+  Testbed bed{small_params(16)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  const DeviceId dev = bed.device(0).id();
+  std::vector<std::uint64_t> acks;
+  home.broker().subscribe_local(
+      protocol::topic_ctrl(dev), [&acks](const net::MqttMessage& msg) {
+        auto decoded = protocol::decode_any(msg.payload);
+        ASSERT_TRUE(decoded);
+        const auto* ctrl = std::get_if<CtrlMessage>(&decoded.value());
+        if (ctrl != nullptr && ctrl->type == CtrlType::kReportAck) {
+          acks.push_back(ctrl->ack_sequence);
+        }
+      });
+
+  publish_report(home, Report{dev,
+                              {injected_record(bed, 0, 900012),
+                               injected_record(bed, 0, 900010),
+                               injected_record(bed, 0, 900011)}});
+  ASSERT_FALSE(acks.empty());
+  EXPECT_EQ(acks.back(), 900012u);
+  // A report of duplicates only: the store accepts nothing, the Ack holds.
+  publish_report(home, Report{dev, {injected_record(bed, 0, 900011)}});
+  EXPECT_EQ(acks.back(), 900012u);
+
+  const auto stored = home.tsdb().scan(dev, INT64_MIN, INT64_MAX);
+  std::uint64_t highest = 0;
+  for (const auto& r : stored) {
+    highest = std::max(highest, r.sequence);
+  }
+  EXPECT_EQ(highest, 900012u);
+  EXPECT_EQ(home.members().find(dev)->last_sequence, 900012u);
+}
+
+TEST(IngestDedup, ReportLostMidDrainOfALongBacklogReachesChainOnce) {
+  // Ten minutes behind a dark AP leave the device ~6000 buffered records.
+  // Back online, its first backlog report reaches home, but the device
+  // unplugs before the PUBACK returns: the report fails, and its records go
+  // to the back of the local FIFO, behind the rest of the backlog — more
+  // newer sequences than a 4096-entry dedup window would remember.  Their
+  // resend is still a duplicate: each (device, sequence) reaches the store
+  // and the ledger exactly once.
+  Testbed bed{FleetBuilder{}
+                  .name("two_by_one")
+                  .networks(2, 1)
+                  .spacing_m(1000.0)  // no neighbour AP to roam to
+                  .ap_outage(0, SimTime{seconds(15).ns()}, seconds(600))
+                  .seed(17)
+                  .spec()};
+  bed.start();
+  bed.run_for(seconds(615));
+  Aggregator& home = bed.aggregator(0);
+  DeviceApp& device = bed.device(0);
+  const DeviceId dev = device.id();
+  const auto accepted = home.stats().records_accepted;
+  const auto failed = device.stats().reports_failed;
+  for (int ms = 0;
+       ms < 60'000 && home.stats().records_accepted < accepted + 256; ++ms) {
+    bed.run_for(milliseconds(1));
+  }
+  ASSERT_GE(home.stats().records_accepted, accepted + 256);
+  device.unplug();  // the PUBACK is still on its way back
+  ASSERT_EQ(device.stats().reports_failed, failed + 1);
+  const auto dups = home.tsdb().stats().duplicates_dropped;
+  device.plug_into(bed.network_name(0));
+  bed.run_for(seconds(60));
+
+  // The lost report's 256 backlog records came back and were dropped.
+  EXPECT_GE(home.tsdb().stats().duplicates_dropped, dups + 256);
+  std::map<std::uint64_t, std::size_t> stored;
+  for (const auto& r : home.tsdb().scan(dev, INT64_MIN, INT64_MAX)) {
+    ++stored[r.sequence];
+  }
+  std::map<std::uint64_t, std::size_t> ledger;
+  for (const auto& block : bed.chain().ledger().blocks()) {
+    for (const auto& bytes : block.records) {
+      const ConsumptionRecord r = deserialize_record(bytes);
+      ledger[r.sequence] += r.device_id == dev ? 1 : 0;
+    }
+  }
+  const auto copied = [](const std::map<std::uint64_t, std::size_t>& seqs) {
+    return std::count_if(seqs.begin(), seqs.end(),
+                         [](const auto& entry) { return entry.second > 1; });
+  };
+  EXPECT_GT(stored.size(), 6000u);
+  EXPECT_EQ(copied(stored), 0);
+  EXPECT_EQ(home.stats().records_accepted, stored.size());
+  EXPECT_GT(ledger.size(), 6000u);
+  EXPECT_EQ(copied(ledger), 0);
+  EXPECT_TRUE(bed.chain().validate().ok);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@
 // hook, the paths tools/emon_lint.py marks EMON_HOT — must execute ZERO
 // operator-new calls.  The static hot-alloc rule proves the bodies
 // allocation-free textually; this proves the libraries they lean on
-// (vector appends below capacity, try_emplace hits, the dedup ring) stay
+// (vector appends below capacity, try_emplace hits, the dedup runs) stay
 // allocation-free too.
 //
 // Warmup covers every cold branch the hot path legitimately takes:
 //   * head-chunk column doublings (16 -> 256 slots covers 160 records),
-//   * SequenceDedup ring growth (16 -> 256 by the same point),
+//   * the SequenceDedup run vector's first (and, for in-order sequences,
+//     only) run,
 //   * first-seen series creation, network-dictionary interning, and the
 //     rollup's series/net-pane setup.
 // The measurement window then replays 64 more records per device with the
@@ -96,7 +97,7 @@ TEST(HotAllocHarness, SteadyStateIngestAllocatesNothing) {
       << "EMON_HOT steady state performed " << steady_allocs
       << " operator-new calls over " << window.size() << " records";
 
-  // The duplicate-drop path (dedup ring hit) is equally hot and equally
+  // The duplicate-drop path (dedup run hit) is equally hot and equally
   // allocation-free.
   util::AllocProbe::arm();
   std::size_t dropped = 0;

@@ -544,5 +544,29 @@ TEST(LiveScrape, MidRunStatsRequestReturnsHotPipelineHistograms) {
 }
 #endif  // EMON_OBS_DISABLED
 
+// ---------------------------------------------------------------------------
+// Observability never moves a digest: the same canned run with metrics on
+// and with them switched off at runtime traces identical sim results
+// ---------------------------------------------------------------------------
+
+TEST(DigestParity, MetricsOnAndOffTraceTheSameRun) {
+  const bool was_enabled = enabled();
+  std::size_t points = 0;
+  const auto digest_with = [&points](bool metrics_on) {
+    set_enabled(metrics_on);
+    core::Testbed bed(core::metro_fleet(4, 40, /*seed=*/3));
+    bed.start();
+    bed.run_for(sim::seconds(8));
+    points = bed.trace().total_points();
+    return bed.trace().digest();
+  };
+  const std::uint64_t on = digest_with(true);
+  const std::uint64_t off = digest_with(false);
+  set_enabled(was_enabled);
+  EXPECT_GT(points, 1000u);  // the run traced real traffic
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(enabled(), was_enabled);
+}
+
 }  // namespace
 }  // namespace emon::obs

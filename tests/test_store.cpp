@@ -1088,20 +1088,51 @@ TEST(Tsdb, NetworkBreakdownHonorsFromBound) {
               1e-9);
 }
 
-TEST(Tsdb, DedupWindowIsBounded) {
+TEST(Tsdb, DedupIsExactOverAnyHistory) {
   Tsdb db;
   const auto records = synthetic_stream(10'000, 103);
   for (const auto& r : records) {
     db.ingest(r);
   }
-  // Recent sequences still dedup...
+  // A resend is a duplicate however many newer sequences came after it.
   EXPECT_FALSE(db.ingest(records.back()));
   EXPECT_FALSE(db.ingest(records[records.size() - 4000]));
+  EXPECT_FALSE(db.ingest(records[records.size() - 5000]));
+  EXPECT_FALSE(db.ingest(records.front()));
   // ...and the store held exactly one copy of everything.
   EXPECT_EQ(db.stats().records_ingested, 10'000u);
+  EXPECT_EQ(db.stats().duplicates_dropped, 4u);
   const auto agg = db.aggregate("dev-1", INT64_MIN, INT64_MAX);
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, 10'000u);
+}
+
+TEST(Tsdb, DedupVerdictMatchesAnExactSet) {
+  // Late batches open holes, fills merge them, repeats land anywhere: the
+  // ingest verdict is "first time this (device, sequence)" and nothing else.
+  util::Rng rng{131};
+  Tsdb db;
+  std::map<std::pair<core::DeviceId, std::uint64_t>, bool> seen;
+  ConsumptionRecord r = synthetic_stream(1, 131).front();
+  for (int i = 0; i < 20'000; ++i) {
+    r.device_id = rng.bernoulli(0.5) ? "dev-a" : "dev-b";
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < 0.6) {  // near-in-order arrivals around a moving head
+      r.sequence = static_cast<std::uint64_t>(i / 2 + rng.uniform_int(0, 8));
+    } else if (pick < 0.9) {  // late backlog far behind the head
+      r.sequence = static_cast<std::uint64_t>(rng.uniform_int(0, i / 2 + 1));
+    } else {  // the ends of the sequence space
+      r.sequence = rng.bernoulli(0.5)
+                       ? 0
+                       : UINT64_MAX - static_cast<std::uint64_t>(
+                                          rng.uniform_int(0, 3));
+    }
+    const bool fresh = seen.try_emplace({r.device_id, r.sequence}, true).second;
+    ASSERT_EQ(db.ingest(r), fresh)
+        << "arrival " << i << " sequence " << r.sequence;
+  }
+  EXPECT_EQ(db.stats().records_ingested, seen.size());
+  EXPECT_EQ(db.stats().duplicates_dropped, 20'000u - seen.size());
 }
 
 TEST(Tsdb, ShardingIsStableAndCoversAllDevices) {
