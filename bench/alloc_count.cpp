@@ -14,8 +14,8 @@
 //            bar as tests/test_hot_alloc.cpp — plus the duplicate-drop
 //            path re-ingesting one stale record per device, also zero.
 //
-// Writes BENCH_alloc.json (allocs per phase, per record, gate verdicts)
-// for tools/collect_bench_trajectory.py; exits 1 if a gate fails.
+// Writes BENCH_alloc.json (allocs per phase, per record, gate verdicts),
+// which CI uploads as an artifact; exits 1 if a gate fails.
 //
 // Flags: --devices N   (default 2000)
 //        --networks N  (default 8)

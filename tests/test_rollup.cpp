@@ -874,6 +874,31 @@ TEST_F(SubscriptionFixture, EqualSpecsShareOneRollup) {
   EXPECT_EQ(service.active_rollups(), 1u);  // shared backing rollup
   EXPECT_EQ(rollups.rollup_count(), 1u);
 
+  // Fan-out: every window the shared rollup closes reaches both
+  // subscribers, and each push equals the cold query of its window.
+  ingest_fleet_and_close();
+  service.pump();
+  kernel.run();
+  ASSERT_GT(a.inbox.size(), 2u);
+  ASSERT_EQ(a.inbox.size(), b.inbox.size());
+  const QueryEngine engine{db, QueryEngineOptions{1}};
+  for (std::size_t i = 1; i < a.inbox.size(); ++i) {
+    const auto& pa = std::get<RollupPush>(a.inbox[i]);
+    const auto& pb = std::get<RollupPush>(b.inbox[i]);
+    EXPECT_EQ(pa.t0_ns, pb.t0_ns);
+    EXPECT_EQ(pa.t1_ns, pb.t1_ns);
+    EXPECT_TRUE(pa.merged == pb.merged);
+    EXPECT_EQ(pa.device_count, pb.device_count);
+    QuerySpec q;
+    q.t0_ns = pa.t0_ns;
+    q.t1_ns = pa.t1_ns;
+    const auto cold = engine.aggregate(q);
+    EXPECT_TRUE(pa.merged == to_wire(cold.merged));
+    EXPECT_EQ(pa.device_count, cold.per_device.size());
+  }
+  EXPECT_EQ(service.stats().windows_pushed, a.inbox.size() - 1);
+  EXPECT_EQ(service.stats().pushes_sent, service.stats().windows_pushed * 2);
+
   // A different geometry gets its own rollup.
   req.client_id = "dash-a";
   req.subscription_id = 2;

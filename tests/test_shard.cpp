@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "util/log.hpp"
@@ -21,6 +22,9 @@ struct RunResult {
   std::uint64_t events = 0;
   std::uint64_t blocks = 0;
   std::size_t shards = 0;
+  /// Per aggregator, in network order.  The trace digest never sees a
+  /// VerificationResult, so the trust check needs its own parity gate.
+  std::vector<std::vector<VerificationResult>> verification;
 };
 
 RunResult run(ScenarioSpec spec, std::size_t shards, double duration_s) {
@@ -33,7 +37,34 @@ RunResult run(ScenarioSpec spec, std::size_t shards, double duration_s) {
   result.events = bed.executed_events();
   result.blocks = bed.chain().ledger().size();
   result.shards = bed.shard_count();
+  for (std::size_t n = 0; n < bed.network_count(); ++n) {
+    result.verification.push_back(bed.aggregator(n).verification_history());
+  }
   return result;
+}
+
+void expect_verification_parity(const RunResult& seq, const RunResult& par,
+                                const std::string& name) {
+  ASSERT_EQ(seq.verification.size(), par.verification.size()) << name;
+  for (std::size_t n = 0; n < seq.verification.size(); ++n) {
+    const auto& s = seq.verification[n];
+    const auto& p = par.verification[n];
+    EXPECT_FALSE(s.empty()) << name << " network " << n;
+    ASSERT_EQ(s.size(), p.size()) << name << " network " << n;
+    for (std::size_t w = 0; w < s.size(); ++w) {
+      SCOPED_TRACE(name + " network " + std::to_string(n) + " window " +
+                   std::to_string(w));
+      EXPECT_EQ(s[w].window_start, p[w].window_start);
+      EXPECT_EQ(s[w].window_end, p[w].window_end);
+      EXPECT_EQ(s[w].feeder_ma, p[w].feeder_ma);
+      EXPECT_EQ(s[w].reported_sum_ma, p[w].reported_sum_ma);
+      EXPECT_EQ(s[w].expected_feeder_ma, p[w].expected_feeder_ma);
+      EXPECT_EQ(s[w].residual_ma, p[w].residual_ma);
+      EXPECT_EQ(s[w].anomalous, p[w].anomalous);
+      EXPECT_EQ(s[w].suspect, p[w].suspect);
+      EXPECT_EQ(s[w].scores, p[w].scores);
+    }
+  }
 }
 
 void expect_parity(const std::string& name, std::uint64_t seed,
@@ -43,6 +74,7 @@ void expect_parity(const std::string& name, std::uint64_t seed,
   EXPECT_EQ(seq.digest, par.digest) << name;
   EXPECT_EQ(seq.events, par.events) << name;
   EXPECT_EQ(seq.blocks, par.blocks) << name;
+  expect_verification_parity(seq, par, name);
 }
 
 // ---------------------------------------------------------------------------
@@ -66,6 +98,7 @@ TEST(ShardParity, MetroFleetReduced) {
   EXPECT_EQ(par.shards, 4u);
   EXPECT_EQ(seq.digest, par.digest);
   EXPECT_EQ(seq.events, par.events);
+  expect_verification_parity(seq, par, "metro_fleet");
 }
 
 // ---------------------------------------------------------------------------
