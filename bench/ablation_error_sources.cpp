@@ -49,7 +49,8 @@ double measure_gap_pct(const Config& config, double level_scale) {
             return hw::LoadProfilePtr(
                 std::make_shared<hw::ConstantLoad>(util::milliamps(base)));
           })
-          .spec()};
+          .spec(),
+      core::TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(sim::seconds(50));
 

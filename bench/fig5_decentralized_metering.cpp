@@ -47,7 +47,8 @@ int main() {
                         .networks(1, 2)
                         .seed(11)
                         .load_factory(wide_duty)
-                        .spec()};
+                        .spec(),
+                    core::TestbedOptions{.retain_trace = true}};
   bed.start();
   const auto warmup = sim::seconds(20);  // registration handshakes
   const int bins = 10;

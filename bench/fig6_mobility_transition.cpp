@@ -25,7 +25,8 @@ int main() {
   emon::util::LogConfig::set_level(emon::util::LogLevel::kError);
   using namespace emon;
 
-  core::Testbed bed{core::paper_figure4(/*seed=*/2020)};
+  core::Testbed bed{core::paper_figure4(/*seed=*/2020),
+                    core::TestbedOptions{.retain_trace = true}};
   bed.start();
 
   const auto depart = sim::seconds(60);

@@ -44,7 +44,8 @@ int main() {
                         .spacing_m(200.0)
                         .seed(88)
                         .load_factory(floor_loads)
-                        .spec()};
+                        .spec(),
+                    core::TestbedOptions{.retain_trace = true}};
 
   // The cleaning robot (dev-1, home floor 1) visits floors 2 and 3.
   core::MobilityPlan plan{

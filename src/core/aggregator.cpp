@@ -86,6 +86,10 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
   pump_stage_ns_ = metrics_.histogram("sub_pump_ns");
   if (trace_ != nullptr) {
     broker_.bind_trace(trace_, "wire.mqtt." + id_);
+    feeder_series_ = trace_->intern("feeder." + id_);
+    verify_residual_series_ = trace_->intern("verify." + id_ + ".residual_ma");
+    verify_reported_series_ = trace_->intern("verify." + id_ + ".reported_ma");
+    verify_anomalous_series_ = trace_->intern("verify." + id_ + ".anomalous");
   }
   backhaul_.add_node(id_, [this](const net::Frame& f) { handle_backhaul(f); });
   broker_.subscribe_local(std::string(protocol::kFilterRegister),
@@ -210,7 +214,10 @@ void Aggregator::handle_register(const RegisterRequest& req) {
       send_ctrl(reject);
       return;
     }
-    members_.add_home(req.device_id, *slot, kernel_.now());
+    if (const auto added =
+            members_.add_home(req.device_id, *slot, kernel_.now())) {
+      bind_member_series(**added);
+    }
     billing_.mark_billable(req.device_id);
     last_membership_change_ = kernel_.now();
     member_ids_stale_ = true;
@@ -262,7 +269,7 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
 
   std::vector<ConsumptionRecord> forward;  // temporaries only
   for (const auto& record : report.records) {
-    if (!accept_record(record, home)) {
+    if (!accept_record(record, member)) {
       continue;
     }
     member.last_sequence = std::max(member.last_sequence, record.sequence);
@@ -380,22 +387,37 @@ void Aggregator::refresh_stage_saturation() {
   rollup_pump_busy_ppm_.set(busy_ppm(pump_stage_ns_.summary().sum));
 }
 
-bool Aggregator::accept_record(const ConsumptionRecord& record, bool home) {
+bool Aggregator::accept_record(const ConsumptionRecord& record,
+                               const MemberEntry& member) {
+  // A member files readings under its own id only; one carrying another
+  // device's id would be stored, billed and chained as that device's.
+  if (record.device_id != member.device_id) {
+    ++stats_.foreign_records_refused;
+    return false;
+  }
   // A retransmission, probe/backlog overlap, double roam forward or resend
   // after re-registration stops here, at the store's sequence verdict.
   if (!tsdb_.ingest(record)) {
     return false;
   }
   if (trace_ != nullptr) {
-    trace_->append("reported." + id_ + "." + record.device_id,
-                   sim::SimTime{record.timestamp_ns}, record.current_ma);
-    trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
+    trace_->append(member.reported_series, sim::SimTime{record.timestamp_ns},
                    record.current_ma);
+    trace_->append(member.arrival_series, kernel_.now(), record.current_ma);
   }
-  if (home) {
+  if (member.kind == MembershipKind::kHome) {
     queue_for_chain(record);
   }
   return true;
+}
+
+void Aggregator::bind_member_series(MemberEntry& member) {
+  if (trace_ != nullptr) {
+    member.reported_series =
+        trace_->intern("reported." + id_ + "." + member.device_id);
+    member.arrival_series =
+        trace_->intern("arrival." + id_ + "." + member.device_id);
+  }
 }
 
 void Aggregator::queue_for_chain(const ConsumptionRecord& record) {
@@ -439,7 +461,7 @@ void Aggregator::handle_backhaul(const net::Frame& frame) {
             billing_.mark_billable(roam.device_id);
             stats_.roam_records_received += roam.records.size();
             for (const auto& record : roam.records) {
-              accept_record(record, /*home=*/true);
+              accept_record(record, *member);
             }
             subscriptions_.pump();
           },
@@ -501,7 +523,10 @@ void Aggregator::finish_temp_registration(const DeviceId& device,
     send_ctrl(reject);
     return;
   }
-  members_.add_temporary(device, master, *slot, kernel_.now());
+  if (const auto added =
+          members_.add_temporary(device, master, *slot, kernel_.now())) {
+    bind_member_series(**added);
+  }
   last_membership_change_ = kernel_.now();
   member_ids_stale_ = true;
   ++stats_.registrations_temporary;
@@ -540,7 +565,7 @@ void Aggregator::on_feeder_sample() {
   const double ma = util::as_milliamps(sample->current);
   window_feeder_ma_.add(ma);
   if (trace_ != nullptr) {
-    trace_->append("feeder." + id_, sample->taken_at, ma);
+    trace_->append(feeder_series_, sample->taken_at, ma);
   }
 }
 
@@ -594,6 +619,18 @@ void Aggregator::on_verify_window() {
               " mA, expected=", result.expected_feeder_ma,
               " mA, residual=", result.residual_ma, " mA, suspect='",
               result.suspect, "'");
+  }
+  // The trust check's verdict goes into the run's digest.
+  if (trace_ != nullptr) {
+    trace_->append(verify_residual_series_, window_end, result.residual_ma);
+    trace_->append(verify_reported_series_, window_end,
+                   result.reported_sum_ma);
+    trace_->append(verify_anomalous_series_, window_end,
+                   result.anomalous ? 1.0 : 0.0);
+    if (!result.suspect.empty()) {
+      trace_->append("verify." + id_ + ".suspect." + result.suspect,
+                     window_end, 1.0);
+    }
   }
   verification_history_.push_back(std::move(result));
 

@@ -70,6 +70,10 @@ struct AggregatorStats {
   /// Well-formed frames of a type that does not belong on the path they
   /// arrived on (e.g. a Beacon on a register topic).
   std::uint64_t unexpected_frames = 0;
+  /// Records refused because their device_id is not the id of the member
+  /// whose Report (or RoamRecords batch) carried them: a device may only
+  /// file readings under its own name.
+  std::uint64_t foreign_records_refused = 0;
 };
 
 class Aggregator {
@@ -198,11 +202,15 @@ class Aggregator {
   /// accepted ones home in one RoamRecords batch, Ack the highest.
   void accept_records(MemberEntry& member, const Report& report)
       EMON_OWNER_THREAD_CONTEXT;
-  /// The per-record step of the Report and RoamRecords paths: false for a
-  /// duplicate by tsdb_'s ingest verdict (the only dedup); else traces the
-  /// record and, when `home` owns the device, queues it for the chain.
-  bool accept_record(const ConsumptionRecord& record, bool home)
-      EMON_OWNER_THREAD_CONTEXT;
+  /// The per-record step of the Report and RoamRecords paths for a record
+  /// carried on `member`'s behalf: false for a record filed under another
+  /// device's id (refused and counted) or a duplicate by tsdb_'s ingest
+  /// verdict (the only dedup); else traces the record on the member's
+  /// series and, when this is the member's home, queues it for the chain.
+  bool accept_record(const ConsumptionRecord& record,
+                     const MemberEntry& member) EMON_OWNER_THREAD_CONTEXT;
+  /// Interns a newly added member's reported/arrival trace series.
+  void bind_member_series(MemberEntry& member);
   void queue_for_chain(const ConsumptionRecord& record)
       EMON_OWNER_THREAD_CONTEXT;
   void broadcast_block(const chain::Block& block) EMON_OWNER_THREAD_CONTEXT;
@@ -217,6 +225,12 @@ class Aggregator {
   ChainCommitQueue& commits_;
   std::string chain_secret_;
   sim::Trace* trace_;
+  // Interned trace series: feeder.<id> and, per verification window,
+  // verify.<id>.{residual_ma,reported_ma,anomalous}.
+  sim::SeriesId feeder_series_;
+  sim::SeriesId verify_residual_series_;
+  sim::SeriesId verify_reported_series_;
+  sim::SeriesId verify_anomalous_series_;
   util::Logger log_;
 
   /// Unified per-aggregator metrics registry.  Declared before every

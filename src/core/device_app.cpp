@@ -76,9 +76,7 @@ DeviceApp::DeviceApp(sim::Kernel& kernel, DeviceId id,
     throw std::invalid_argument("DeviceApp requires grid and broker resolvers");
   }
   wifi_.set_on_drop([this] { on_wifi_drop(); });
-  if (trace_ != nullptr) {
-    mqtt_.bind_trace(trace_, "wire.device." + id_);
-  }
+  bind_trace(trace);
   mqtt_.subscribe(protocol::topic_ctrl(id_),
                   [this](const net::MqttMessage& m) { on_downlink_frame(m); });
   mqtt_.subscribe(std::string(protocol::kTopicBeacon),
@@ -193,9 +191,15 @@ void DeviceApp::adopt(sim::Kernel& kernel, net::WifiMedium& medium,
   kernel_ = &kernel;
   mqtt_.rebind_kernel(kernel);
   wifi_.attach_medium(medium);
+  bind_trace(trace);
+}
+
+void DeviceApp::bind_trace(sim::Trace* trace) {
   trace_ = trace;
   if (trace_ != nullptr) {
     mqtt_.bind_trace(trace_, "wire.device." + id_);
+    current_series_ = trace_->intern("device." + id_ + ".current_ma");
+    handshake_series_ = trace_->intern("handshake." + id_);
   }
 }
 
@@ -412,7 +416,7 @@ void DeviceApp::complete_handshake(MembershipKind kind) {
   handshakes_.push_back(rec);
   handshake_started_.reset();
   if (trace_ != nullptr) {
-    trace_->append("handshake." + id_, rec.completed_at,
+    trace_->append(handshake_series_, rec.completed_at,
                    rec.duration().to_seconds());
   }
 }
@@ -457,7 +461,7 @@ void DeviceApp::on_sample_tick() {
   record.membership = membership_;
 
   if (trace_ != nullptr) {
-    trace_->append("device." + id_ + ".current_ma", sample->taken_at,
+    trace_->append(current_series_, sample->taken_at,
                    util::as_milliamps(sample->current));
   }
 

@@ -184,6 +184,9 @@ class DeviceApp {
   void send_register();
   void complete_handshake(MembershipKind kind);
   void on_wifi_drop();
+  /// Points the device's trace appends (its own series and its MQTT
+  /// client's wire series) at `trace`, interning each series once.
+  void bind_trace(sim::Trace* trace);
 
   sim::Kernel* kernel_;  // rebindable: migration re-homes the device
   DeviceId id_;
@@ -191,6 +194,8 @@ class DeviceApp {
   GridResolver grids_;
   BrokerResolver brokers_;
   sim::Trace* trace_;
+  sim::SeriesId current_series_;    // device.<id>.current_ma
+  sim::SeriesId handshake_series_;  // handshake.<id>
   util::Logger log_;
   util::Rng rng_;
 

@@ -6,7 +6,8 @@ std::optional<MemberEntry*> MembershipTable::add_home(const DeviceId& id,
                                                       std::size_t slot,
                                                       sim::SimTime now) {
   const auto [it, inserted] = members_.emplace(
-      id, MemberEntry{id, MembershipKind::kHome, "", slot, now, "", 0});
+      id,
+      MemberEntry{id, MembershipKind::kHome, "", slot, now, "", 0, {}, {}});
   if (!inserted) {
     return std::nullopt;
   }
@@ -18,7 +19,7 @@ std::optional<MemberEntry*> MembershipTable::add_temporary(
     sim::SimTime now) {
   const auto [it, inserted] = members_.emplace(
       id, MemberEntry{id, MembershipKind::kTemporary, master_addr, slot, now,
-                      "", 0});
+                      "", 0, {}, {}});
   if (!inserted) {
     return std::nullopt;
   }

@@ -16,6 +16,7 @@
 
 #include "core/records.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 
 namespace emon::core {
 
@@ -34,6 +35,10 @@ struct MemberEntry {
   /// Highest sequence the store accepted from this member (sent in Acks);
   /// the aggregator's Tsdb ingest verdict is its only dedup.
   std::uint64_t last_sequence = 0;
+  /// The member's reported.<agg>.<id> and arrival.<agg>.<id> trace series,
+  /// interned by the aggregator when it adds the member.
+  sim::SeriesId reported_series;
+  sim::SeriesId arrival_series;
 };
 
 class MembershipTable {

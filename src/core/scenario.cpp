@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 
 #include "core/mobility.hpp"
@@ -174,7 +173,8 @@ Testbed::Testbed(ScenarioSpec spec, TestbedOptions options)
       network_shard_(assign_network_shards(spec_, options.shards)),
       engine_(shard_count_of(network_shard_),
               std::max(spec_.sys.backhaul.base_latency, sim::Duration{2})),
-      seeds_(spec_.sys.seed) {
+      seeds_(spec_.sys.seed),
+      merged_trace_(options.retain_trace) {
   if (spec_.networks.empty()) {
     throw std::invalid_argument("Testbed needs at least one network");
   }
@@ -227,7 +227,7 @@ Testbed::Testbed(ScenarioSpec spec, TestbedOptions options)
   // order, so sequential and sharded wirings of one spec agree bit-for-bit.
   fabric_ = std::make_shared<net::BackhaulFabric>(seeds_.stream("backhaul"));
   for (std::size_t s = 0; s < n_shards; ++s) {
-    traces_.push_back(std::make_unique<sim::Trace>());
+    traces_.push_back(std::make_unique<sim::Trace>(options.retain_trace));
     mediums_.push_back(std::make_unique<net::WifiMedium>(engine_.shard(s)));
     segments_.push_back(std::make_unique<net::Backhaul>(
         engine_.shard(s), fabric_, s, n_shards > 1 ? &engine_ : nullptr));
@@ -673,56 +673,16 @@ sim::Trace& Testbed::trace() {
 }
 
 void Testbed::rebuild_merged_trace() {
-  // Per-series deterministic merge.  A series written by one shard is
-  // copied verbatim (its in-shard append order *is* the sequential order).
-  // A series with several writers — wire.backhaul tx/rx, a migrating
-  // device's own series — is merged by (time, shard index): single-writer
-  // series are time-monotone per shard, and same-instant cross-shard
-  // appends (e.g. simultaneous block broadcasts) tie-break in network ==
-  // writer order because shard ranges are contiguous.
-  merged_trace_.clear();
-  std::set<std::string> names;
+  // Shard digests add up; retained points merge by (time, shard index), so
+  // same-instant appends of a multi-writer series (wire.backhaul tx/rx, a
+  // migrating device's own series) tie-break in network == writer order,
+  // because shard ranges are contiguous.
+  std::vector<const sim::Trace*> shards;
+  shards.reserve(traces_.size());
   for (const auto& trace : traces_) {
-    for (auto& name : trace->series_names()) {
-      names.insert(std::move(name));
-    }
+    shards.push_back(trace.get());
   }
-  std::vector<const std::vector<sim::TracePoint>*> parts;
-  for (const auto& name : names) {
-    parts.clear();
-    for (const auto& trace : traces_) {
-      if (trace->has(name)) {
-        parts.push_back(&trace->series(name));
-      }
-    }
-    if (parts.size() == 1) {
-      merged_trace_.append_points(name, *parts[0]);
-      continue;
-    }
-    std::vector<sim::TracePoint> merged;
-    std::vector<std::size_t> cursor(parts.size(), 0);
-    std::size_t remaining = 0;
-    for (const auto* part : parts) {
-      remaining += part->size();
-    }
-    merged.reserve(remaining);
-    while (remaining > 0) {
-      std::size_t best = parts.size();
-      for (std::size_t p = 0; p < parts.size(); ++p) {
-        if (cursor[p] >= parts[p]->size()) {
-          continue;
-        }
-        if (best == parts.size() ||
-            (*parts[p])[cursor[p]].time < (*parts[best])[cursor[best]].time) {
-          best = p;  // ties keep the lowest shard index
-        }
-      }
-      merged.push_back((*parts[best])[cursor[best]]);
-      ++cursor[best];
-      --remaining;
-    }
-    merged_trace_.append_points(name, merged);
-  }
+  merged_trace_.merge_shards(shards);
 }
 
 // ---------------------------------------------------------------------------

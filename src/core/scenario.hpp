@@ -25,7 +25,11 @@
 //     at start()).
 // With shards=1 (the default) every path above degenerates to the
 // sequential kernel (one queue, no threads, no mailboxes); shards=N runs
-// reproduce the shards=1 Trace::digest() of the same revision.  (Note:
+// reproduce the shards=1 Trace::digest() of the same revision: every
+// trace point is appended on exactly one shard, and the digest is a sum
+// over points (sim/trace.hpp), so the shard digests add up to the
+// sequential one whatever the interleaving and whether or not points are
+// retained.  (Note:
 // chain commits are deferred by chain_commit_latency in *both* modes, a
 // deliberate behavioural change from pre-sharding revisions.)
 //
@@ -57,6 +61,10 @@ struct TestbedOptions {
   /// Upper bound on worker shards; the effective count is capped by the
   /// number of radio islands the scenario decomposes into.
   std::size_t shards = 1;
+  /// Keep every trace point for reading back (figure benches, CSV export,
+  /// tests that inspect series).  Off, the trace keeps only its digest and
+  /// point count, and series reads throw std::logic_error.
+  bool retain_trace = false;
 };
 
 /// The fully wired testbed.  Owns everything; movable only via unique_ptr.
@@ -80,9 +88,10 @@ class Testbed {
   /// Shard 0's kernel — *the* kernel when shards == 1.
   [[nodiscard]] sim::Kernel& kernel() noexcept { return engine_.shard(0); }
   [[nodiscard]] sim::ShardedKernel& engine() noexcept { return engine_; }
-  /// The run's trace.  With shards > 1 this is the deterministic merge of
-  /// the per-shard traces (rebuilt lazily after each run_for); treat it as
-  /// read-only.
+  /// The run's trace.  With shards > 1 this is the merge of the per-shard
+  /// traces (rebuilt lazily after each run_for): summed digests and point
+  /// counts, plus the (time, shard)-ordered points when retained; treat it
+  /// as read-only.
   [[nodiscard]] sim::Trace& trace();
   [[nodiscard]] const util::SeedSequence& seeds() const noexcept {
     return seeds_;

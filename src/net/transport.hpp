@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace emon::sim {
-class Trace;
-}  // namespace emon::sim
 
 namespace emon::net {
 
@@ -88,8 +86,9 @@ class Transport {
   }
 
   /// Mirrors tx/rx frame sizes into `<prefix>.tx_bytes` / `<prefix>.rx_bytes`
-  /// trace series so wire overhead lands next to the latency data.
-  void bind_trace(sim::Trace* trace, std::string series_prefix);
+  /// trace series so wire overhead lands next to the latency data.  Both
+  /// series are interned here, once.
+  void bind_trace(sim::Trace* trace, const std::string& series_prefix);
 
  protected:
   void note_sent(sim::SimTime now, std::size_t bytes) EMON_OWNER_THREAD;
@@ -108,7 +107,8 @@ class Transport {
  private:
   TransportStats tstats_;
   sim::Trace* trace_ = nullptr;
-  std::string trace_prefix_;
+  sim::SeriesId tx_series_;
+  sim::SeriesId rx_series_;
 };
 
 }  // namespace emon::net

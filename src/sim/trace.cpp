@@ -5,54 +5,160 @@
 
 namespace emon::sim {
 
-void Trace::append(std::string_view series, SimTime t, double value) {
-  auto it = series_.find(series);
-  if (it == series_.end()) {
-    it = series_.emplace(std::string(series), std::vector<TracePoint>{}).first;
-  }
-  it->second.push_back(TracePoint{t, value});
-  ++points_;
+namespace {
+
+/// splitmix64's finalizer: a bijective, avalanching 64-bit mix.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
-void Trace::append_points(std::string_view series,
-                          const std::vector<TracePoint>& points) {
-  auto it = series_.find(series);
-  if (it == series_.end()) {
-    it = series_.emplace(std::string(series), std::vector<TracePoint>{}).first;
+std::uint64_t name_hash(std::string_view name) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const char c : name) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
   }
-  it->second.insert(it->second.end(), points.begin(), points.end());
-  points_ += points.size();
+  return mix64(h);
+}
+
+}  // namespace
+
+SeriesId Trace::intern(std::string_view series) {
+  SeriesId id{name_hash(series), 0};
+  if (!retain_) {
+    return id;
+  }
+  const auto it = index_.find(series);
+  if (it != index_.end()) {
+    id.index = it->second;
+    return id;
+  }
+  id.index = static_cast<std::uint32_t>(series_.size());
+  series_.push_back(Series{std::string(series), {}});
+  index_.emplace(std::string(series), id.index);
+  return id;
+}
+
+void Trace::append(SeriesId series, SimTime t, double value) {
+  digest_ += mix64(mix64(series.hash ^ mix64(static_cast<std::uint64_t>(
+                                           t.ns()))) ^
+                   std::bit_cast<std::uint64_t>(value));
+  ++points_;
+  if (retain_) {
+    keep(series.index, t, value);
+  }
+}
+
+void Trace::append(std::string_view series, SimTime t, double value) {
+  append(intern(series), t, value);
+}
+
+void Trace::keep(std::uint32_t index, SimTime t, double value) {
+  series_[index].points.push_back(TracePoint{t, value});
+}
+
+void Trace::merge_shards(const std::vector<const Trace*>& shards) {
+  clear();
+  for (const Trace* shard : shards) {
+    digest_ += shard->digest_;
+    points_ += shard->points_;
+  }
+  if (!retain_) {
+    return;
+  }
+  std::map<std::string_view, std::vector<const std::vector<TracePoint>*>>
+      parts;
+  for (const Trace* shard : shards) {
+    for (const Series* s : shard->sorted_series()) {
+      parts[s->name].push_back(&s->points);
+    }
+  }
+  for (const auto& [name, lists] : parts) {
+    std::vector<TracePoint>& merged = series_[intern(name).index].points;
+    if (lists.size() == 1) {
+      merged = *lists[0];
+      continue;
+    }
+    std::vector<std::size_t> cursor(lists.size(), 0);
+    std::size_t remaining = 0;
+    for (const auto* list : lists) {
+      remaining += list->size();
+    }
+    merged.reserve(remaining);
+    for (; remaining > 0; --remaining) {
+      std::size_t best = lists.size();
+      for (std::size_t p = 0; p < lists.size(); ++p) {
+        if (cursor[p] >= lists[p]->size()) {
+          continue;
+        }
+        if (best == lists.size() ||
+            (*lists[p])[cursor[p]].time < (*lists[best])[cursor[best]].time) {
+          best = p;  // ties keep the lowest shard index
+        }
+      }
+      merged.push_back((*lists[best])[cursor[best]++]);
+    }
+  }
+}
+
+void Trace::require_retention() const {
+  if (!retain_) {
+    throw std::logic_error(
+        "trace series reads need retention (TestbedOptions::retain_trace); "
+        "this trace keeps only its digest");
+  }
+}
+
+const Trace::Series* Trace::find(std::string_view name) const {
+  require_retention();
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &series_[it->second];
+}
+
+std::vector<const Trace::Series*> Trace::sorted_series() const {
+  require_retention();
+  std::vector<const Series*> out;
+  out.reserve(index_.size());
+  for (const auto& [name, index] : index_) {
+    if (!series_[index].points.empty()) {
+      out.push_back(&series_[index]);
+    }
+  }
+  return out;
 }
 
 bool Trace::has(std::string_view series) const {
-  return series_.find(series) != series_.end();
+  const Series* s = find(series);
+  return s != nullptr && !s->points.empty();
 }
 
 const std::vector<TracePoint>& Trace::series(std::string_view name) const {
-  const auto it = series_.find(name);
-  if (it == series_.end()) {
+  const Series* s = find(name);
+  if (s == nullptr || s->points.empty()) {
     throw std::out_of_range("no trace series named '" + std::string(name) +
                             "'");
   }
-  return it->second;
+  return s->points;
 }
 
 std::vector<std::string> Trace::series_names() const {
   std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, _] : series_) {
-    names.push_back(name);
+  for (const Series* s : sorted_series()) {
+    names.push_back(s->name);
   }
   return names;
 }
 
 double Trace::sum_in(std::string_view name, SimTime from, SimTime to) const {
-  const auto it = series_.find(name);
-  if (it == series_.end()) {
+  const Series* s = find(name);
+  if (s == nullptr) {
     return 0.0;
   }
   double sum = 0.0;
-  for (const auto& p : it->second) {
+  for (const auto& p : s->points) {
     if (p.time >= from && p.time < to) {
       sum += p.value;
     }
@@ -61,13 +167,13 @@ double Trace::sum_in(std::string_view name, SimTime from, SimTime to) const {
 }
 
 double Trace::mean_in(std::string_view name, SimTime from, SimTime to) const {
-  const auto it = series_.find(name);
-  if (it == series_.end()) {
+  const Series* s = find(name);
+  if (s == nullptr) {
     return 0.0;
   }
   double sum = 0.0;
   std::size_t n = 0;
-  for (const auto& p : it->second) {
+  for (const auto& p : s->points) {
     if (p.time >= from && p.time < to) {
       sum += p.value;
       ++n;
@@ -77,23 +183,25 @@ double Trace::mean_in(std::string_view name, SimTime from, SimTime to) const {
 }
 
 void Trace::write_csv(std::ostream& out) const {
+  const auto all = sorted_series();
   out << "time_s,series,value\n";
-  for (const auto& [name, points] : series_) {
-    for (const auto& p : points) {
-      out << p.time.to_seconds() << ',' << name << ',' << p.value << '\n';
+  for (const Series* s : all) {
+    for (const auto& p : s->points) {
+      out << p.time.to_seconds() << ',' << s->name << ',' << p.value << '\n';
     }
   }
 }
 
 void Trace::write_json(std::ostream& out) const {
+  const auto all = sorted_series();
   out << "[";
   bool first = true;
-  for (const auto& [name, points] : series_) {
-    for (const auto& p : points) {
+  for (const Series* s : all) {
+    for (const auto& p : s->points) {
       if (!first) out << ',';
       first = false;
       out << "{\"time_s\":" << p.time.to_seconds() << ",\"series\":\"";
-      for (const char c : name) {
+      for (const char c : s->name) {
         if (c == '"' || c == '\\') out << '\\';
         out << c;
       }
@@ -103,33 +211,10 @@ void Trace::write_json(std::ostream& out) const {
   out << "]";
 }
 
-std::uint64_t Trace::digest() const noexcept {
-  // FNV-1a over (name, time, value-bits) of every point, in the map's
-  // deterministic (sorted) series order.  Two runs of the same scenario and
-  // seed must produce the same digest — the determinism contract the fleet
-  // tests pin down.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const auto& [name, points] : series_) {
-    for (const char c : name) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 0x100000001b3ULL;
-    }
-    for (const auto& p : points) {
-      mix(static_cast<std::uint64_t>(p.time.ns()));
-      mix(std::bit_cast<std::uint64_t>(p.value));
-    }
-  }
-  return h;
-}
-
 void Trace::clear() noexcept {
   series_.clear();
+  index_.clear();
+  digest_ = 0;
   points_ = 0;
 }
 

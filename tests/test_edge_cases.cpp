@@ -510,6 +510,74 @@ TEST(IngestDedup, ReportLostMidDrainOfALongBacklogReachesChainOnce) {
 }
 
 // ---------------------------------------------------------------------------
+// A member files readings under its own id only: a record in dev-1's batch
+// that carries dev-2's id would otherwise be stored, billed and chained as
+// dev-2's consumption.
+// ---------------------------------------------------------------------------
+
+/// Records of `device` on `agg`'s invoice for it.
+std::uint64_t billed_records(const Aggregator& agg, const DeviceId& device) {
+  std::uint64_t n = 0;
+  for (const auto& line : agg.billing().invoice_for(device).lines) {
+    n += line.records;
+  }
+  return n;
+}
+
+TEST(ForeignRecords, ReportRecordUnderAnotherMembersIdIsRefused) {
+  Testbed bed{FleetBuilder{}.name("one_by_two").networks(1, 2).seed(17).spec()};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& agg = bed.aggregator(0);
+  const DeviceId dev1 = bed.device(0).id();
+  const DeviceId dev2 = bed.device(1).id();
+  ASSERT_NE(agg.members().find(dev1), nullptr);
+  ASSERT_NE(agg.members().find(dev2), nullptr);
+  ConsumptionRecord forged = injected_record(bed, 0, 900100);
+  forged.device_id = dev2;
+
+  const auto refused = agg.stats().foreign_records_refused;
+  const auto accepted = agg.stats().records_accepted;
+  const auto billed = billed_records(agg, dev2);
+  ASSERT_GT(billed, 0u);
+  publish_report(agg, Report{dev1, {forged}});
+  EXPECT_EQ(agg.stats().foreign_records_refused, refused + 1);
+  EXPECT_EQ(agg.stats().records_accepted, accepted);
+  EXPECT_EQ(in_store(agg, dev2, 900100), 0u);
+  EXPECT_EQ(billed_records(agg, dev2), billed);
+
+  bed.run_for(seconds(12));
+  EXPECT_EQ(on_chain(bed, dev2, 900100), 0u);
+  EXPECT_GT(bed.chain().ledger().size(), 0u);
+  EXPECT_TRUE(bed.chain().validate().ok);
+  EXPECT_EQ(agg.stats().foreign_records_refused, refused + 1);
+}
+
+TEST(ForeignRecords, RoamBatchRecordUnderAnotherDevicesIdIsRefused) {
+  Testbed bed{small_params(18)};
+  bed.start();
+  bed.run_for(seconds(12));
+  Aggregator& home = bed.aggregator(0);
+  const DeviceId dev1 = bed.device(0).id();
+  const DeviceId dev2 = bed.device(1).id();
+  ConsumptionRecord forged = injected_record(bed, 1, 900101);
+  forged.device_id = dev2;
+
+  const auto refused = home.stats().foreign_records_refused;
+  const auto accepted = home.stats().records_accepted;
+  bed.backhaul().send(
+      net::Frame{bed.aggregator(1).id(), home.id(),
+                 protocol::seal(RoamRecords{dev1, bed.aggregator(1).id(),
+                                            {forged}}),
+                 0});
+  bed.run_for(seconds(12));
+  EXPECT_EQ(home.stats().foreign_records_refused, refused + 1);
+  EXPECT_EQ(in_store(home, dev2, 900101), 0u);
+  EXPECT_EQ(on_chain(bed, dev2, 900101), 0u);
+  EXPECT_GT(home.stats().records_accepted, accepted);  // dev-1's own, live
+}
+
+// ---------------------------------------------------------------------------
 // Kernel re-entrancy
 // ---------------------------------------------------------------------------
 

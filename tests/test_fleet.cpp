@@ -196,7 +196,8 @@ TEST(FleetFaults, ApOutageDropsLinksAndRestores) {
                   .networks(1, 2)
                   .ap_outage(0, SimTime{seconds(15).ns()}, seconds(10))
                   .seed(3)
-                  .spec()};
+                  .spec(),
+              TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(14));
   ASSERT_EQ(bed.device(0).state(), DeviceState::kReporting);
@@ -220,7 +221,8 @@ TEST(FleetFaults, BackhaulPartitionIsolatesAndHeals) {
                   .backhaul_partition(1, SimTime{seconds(5).ns()},
                                       seconds(10))
                   .seed(4)
-                  .spec()};
+                  .spec(),
+              TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(7));  // inside the partition
   EXPECT_FALSE(bed.backhaul().node_up("agg-2"));
@@ -238,7 +240,8 @@ TEST(FleetFaults, TamperBurstFlagsAnomaliesThenClears) {
                   .tamper_burst(0, SimTime{seconds(30).ns()}, seconds(15),
                                 0.3)
                   .seed(13)
-                  .spec()};
+                  .spec(),
+              TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(60));
   const auto& history = bed.aggregator(0).verification_history();
@@ -270,7 +273,8 @@ TEST(FleetFaults, OverlappingWindowsRestoreAtLastEnd) {
                   .tamper_burst(0, SimTime{seconds(20).ns()}, seconds(20),
                                 0.3)
                   .seed(8)
-                  .spec()};
+                  .spec(),
+              TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(35));  // first window over, second still active
   ASSERT_EQ(bed.trace().series("fault.tamper.dev-1").size(), 2u);

@@ -15,6 +15,10 @@
 //     rollup's series/net-pane setup.
 // The measurement window then replays 64 more records per device with the
 // seal threshold parked far away, so nothing cold can fire.
+//
+// The same witness covers the simulator's per-record trace append: through
+// an interned SeriesId on a trace that retains nothing (the testbed's
+// default), sim::Trace::append only folds the point into the digest.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "core/records.hpp"
+#include "sim/trace.hpp"
 #include "store/rollup.hpp"
 #include "store/tsdb.hpp"
 #include "util/alloc_probe.hpp"
@@ -123,6 +128,33 @@ TEST(HotAllocHarness, SteadyStateIngestAllocatesNothing) {
   const std::uint64_t canary_allocs = util::AllocProbe::disarm();
   EXPECT_GE(canary_allocs, 1u);
   EXPECT_EQ(canary.capacity(), 1024u);
+}
+
+TEST(HotAllocHarness, TraceHandleAppendWithoutRetentionAllocatesNothing) {
+  sim::Trace trace(/*retain=*/false);
+  const sim::SeriesId reported = trace.intern("reported.agg-1.dev-1");
+  const sim::SeriesId arrival = trace.intern("arrival.agg-1.dev-1");
+  constexpr std::int64_t kPoints = 10'000;
+
+  util::AllocProbe::arm();
+  for (std::int64_t i = 0; i < kPoints; ++i) {
+    trace.append(reported, sim::SimTime{i}, static_cast<double>(i));
+    trace.append(arrival, sim::SimTime{i + 1}, static_cast<double>(i));
+  }
+  const std::uint64_t allocs = util::AllocProbe::disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(trace.total_points(), static_cast<std::size_t>(2 * kPoints));
+
+  // Control: the same appends on a retaining trace do allocate.
+  sim::Trace kept;
+  const sim::SeriesId series = kept.intern("reported.agg-1.dev-1");
+  util::AllocProbe::arm();
+  for (std::int64_t i = 0; i < kPoints; ++i) {
+    kept.append(series, sim::SimTime{i}, static_cast<double>(i));
+  }
+  EXPECT_GE(util::AllocProbe::disarm(), 1u);
+  EXPECT_EQ(kept.series("reported.agg-1.dev-1").size(),
+            static_cast<std::size_t>(kPoints));
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ using sim::SimTime;
 // ---------------------------------------------------------------------------
 
 TEST(Figure5, AggregatorReadsHigherThanDeviceSumWithinBand) {
-  Testbed bed{FleetBuilder{}.name("fig5").networks(1, 2).seed(11).spec()};
+  Testbed bed{FleetBuilder{}.name("fig5").networks(1, 2).seed(11).spec(),
+              TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(80));
 
@@ -52,7 +53,7 @@ TEST(Figure5, AggregatorReadsHigherThanDeviceSumWithinBand) {
 // ---------------------------------------------------------------------------
 
 TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
-  Testbed bed{paper_figure4(21)};
+  Testbed bed{paper_figure4(21), TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.run_for(seconds(30));
   auto& dev = bed.device(0);
@@ -107,7 +108,7 @@ TEST(Figure6, VerificationWindowsMatchAStoreScanOracle) {
   // they pair each measurement timestamp with its arrival time).  Buffered
   // records describe past windows; counting them (or another network's
   // records) moves the sum.
-  Testbed bed{paper_figure4(2020)};
+  Testbed bed{paper_figure4(2020), TestbedOptions{.retain_trace = true}};
   bed.start();
   bed.kernel().schedule_at(SimTime::zero() + seconds(60), [&bed] {
     bed.device(0).move_to(bed.network_name(1),

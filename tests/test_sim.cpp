@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -750,7 +752,122 @@ TEST(Trace, ClearResets) {
   trace.append("a", SimTime{1}, 1.0);
   trace.clear();
   EXPECT_EQ(trace.total_points(), 0u);
+  EXPECT_EQ(trace.digest(), 0u);
   EXPECT_FALSE(trace.has("a"));
+}
+
+struct DigestPoint {
+  const char* series;
+  std::int64_t t;
+  double value;
+};
+
+// Two series sharing timestamps, and a same-instant pair within one series.
+const std::vector<DigestPoint> kDigestPoints = {
+    {"a", 10, 1.5}, {"a", 20, 2.5}, {"b", 10, -1.0},
+    {"b", 10, 4.0}, {"c", 5, 0.0},  {"a", 30, 1.5}};
+
+void append_all(Trace& trace, const std::vector<DigestPoint>& points) {
+  for (const auto& p : points) {
+    trace.append(p.series, SimTime{p.t}, p.value);
+  }
+}
+
+TEST(Trace, DigestIgnoresHowAppendsInterleave) {
+  Trace forward;
+  append_all(forward, kDigestPoints);
+  std::vector<DigestPoint> reversed(kDigestPoints.rbegin(),
+                                    kDigestPoints.rend());
+  Trace backward;
+  append_all(backward, reversed);
+  EXPECT_NE(forward.digest(), 0u);
+  EXPECT_EQ(forward.digest(), backward.digest());
+}
+
+TEST(Trace, DigestsOfSplitTracesSumToTheWhole) {
+  Trace whole;
+  append_all(whole, kDigestPoints);
+  Trace even;
+  Trace odd;
+  for (std::size_t i = 0; i < kDigestPoints.size(); ++i) {
+    append_all(i % 2 == 0 ? even : odd, {kDigestPoints[i]});
+  }
+  EXPECT_EQ(even.digest() + odd.digest(), whole.digest());
+
+  Trace merged(/*retain=*/false);
+  merged.merge_shards({&even, &odd});
+  EXPECT_EQ(merged.digest(), whole.digest());
+  EXPECT_EQ(merged.total_points(), whole.total_points());
+}
+
+TEST(Trace, DigestSeesOneFlippedBit) {
+  Trace base;
+  append_all(base, kDigestPoints);
+  const auto with = [](std::vector<DigestPoint> points) {
+    Trace trace;
+    append_all(trace, points);
+    return trace.digest();
+  };
+  std::vector<DigestPoint> value_bit = kDigestPoints;
+  value_bit[2].value = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(value_bit[2].value) ^ 1u);
+  EXPECT_NE(with(value_bit), base.digest());
+  std::vector<DigestPoint> time_bit = kDigestPoints;
+  time_bit[2].t ^= 1;
+  EXPECT_NE(with(time_bit), base.digest());
+  std::vector<DigestPoint> renamed = kDigestPoints;
+  renamed[2].series = "c";
+  EXPECT_NE(with(renamed), base.digest());
+}
+
+TEST(Trace, HandleAndNameAppendsDigestAlike) {
+  Trace by_name;
+  by_name.append("s", SimTime{7}, 3.0);
+  Trace by_handle(/*retain=*/false);
+  const SeriesId s = by_handle.intern("s");
+  by_handle.append(s, SimTime{7}, 3.0);
+  EXPECT_EQ(by_name.digest(), by_handle.digest());
+  EXPECT_EQ(by_handle.total_points(), 1u);
+}
+
+TEST(Trace, ReadingWithoutRetentionThrows) {
+  Trace trace(/*retain=*/false);
+  append_all(trace, kDigestPoints);
+  EXPECT_EQ(trace.total_points(), kDigestPoints.size());
+  EXPECT_THROW((void)trace.series("a"), std::logic_error);
+  EXPECT_THROW((void)trace.has("a"), std::logic_error);
+  EXPECT_THROW((void)trace.mean_in("a", SimTime{0}, SimTime{100}),
+               std::logic_error);
+  EXPECT_THROW((void)trace.series_names(), std::logic_error);
+  std::ostringstream out;
+  EXPECT_THROW(trace.write_csv(out), std::logic_error);
+  try {
+    (void)trace.sum_in("a", SimTime{0}, SimTime{100});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("retain_trace"), std::string::npos);
+  }
+}
+
+TEST(Trace, MergeShardsOrdersRetainedPointsByTimeThenShard) {
+  Trace first;
+  first.append("shared", SimTime{10}, 1.0);
+  first.append("shared", SimTime{30}, 3.0);
+  first.append("mine", SimTime{5}, 0.5);
+  Trace second;
+  second.append("shared", SimTime{10}, 2.0);
+  second.append("shared", SimTime{20}, 4.0);
+  Trace merged;
+  merged.merge_shards({&first, &second});
+  const auto& shared = merged.series("shared");
+  ASSERT_EQ(shared.size(), 4u);
+  EXPECT_EQ(shared[0].value, 1.0);  // same instant: shard 0 first
+  EXPECT_EQ(shared[1].value, 2.0);
+  EXPECT_EQ(shared[2].value, 4.0);
+  EXPECT_EQ(shared[3].value, 3.0);
+  EXPECT_EQ(merged.series("mine").size(), 1u);
+  EXPECT_EQ(merged.total_points(), 5u);
+  EXPECT_EQ(merged.digest(), first.digest() + second.digest());
 }
 
 }  // namespace
