@@ -174,6 +174,38 @@ std::vector<std::vector<DeviceId>> QueryEngine::partition(
   return buckets;
 }
 
+namespace {
+
+/// Merges per-shard result slots into one device-ordered list.  Each slot
+/// is already sorted by device id (a shard's series walk, or its sorted
+/// bucket) and the slots are disjoint, so picking the smallest head each
+/// step gives the global order without a sort.
+template <typename T>
+std::vector<std::pair<DeviceId, T>> merge_slots(
+    std::vector<std::vector<std::pair<DeviceId, T>>>& slots) {
+  std::size_t total = 0;
+  for (const auto& slot : slots) {
+    total += slot.size();
+  }
+  std::vector<std::pair<DeviceId, T>> out;
+  out.reserve(total);
+  std::vector<std::size_t> head(slots.size(), 0);
+  for (std::size_t n = 0; n < total; ++n) {
+    std::size_t best = slots.size();
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      if (head[s] < slots[s].size() &&
+          (best == slots.size() ||
+           slots[s][head[s]].first < slots[best][head[best]].first)) {
+        best = s;
+      }
+    }
+    out.push_back(std::move(slots[best][head[best]++]));
+  }
+  return out;
+}
+
+}  // namespace
+
 template <typename T, typename Fn>
 std::vector<std::pair<DeviceId, T>> QueryEngine::per_device(
     const QuerySpec& spec, const Fn& fn) const {
@@ -222,28 +254,9 @@ std::vector<std::pair<DeviceId, T>> QueryEngine::per_device(
     });
   }
   if (cut != nullptr) {
-    cut->per_device.clear();
-    for (auto& slot : cut_slots) {
-      cut->per_device.insert(cut->per_device.end(), slot.begin(), slot.end());
-    }
-    std::sort(cut->per_device.begin(), cut->per_device.end());
+    cut->per_device = merge_slots(cut_slots);
   }
-  std::size_t total = 0;
-  for (const auto& slot : slots) {
-    total += slot.size();
-  }
-  std::vector<std::pair<DeviceId, T>> out;
-  out.reserve(total);
-  for (auto& slot : slots) {
-    for (auto& entry : slot) {
-      out.push_back(std::move(entry));
-    }
-  }
-  // Shard buckets are disjoint, so every device appears at most once;
-  // one sort re-establishes the global device order.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  return merge_slots(slots);
 }
 
 FleetAggregate QueryEngine::aggregate(const QuerySpec& spec) const {

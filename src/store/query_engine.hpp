@@ -133,7 +133,8 @@ struct QuerySpec {
   /// query; same empty-means-all rule.
   const std::vector<DeviceId>* borrowed_devices = nullptr;
   /// Caller's promise that the effective device list is already sorted and
-  /// duplicate-free — partition() then skips its per-query sort+unique.
+  /// duplicate-free — partition() then skips its per-query sort+unique, and
+  /// the per-shard results merge in device order as they come.
   bool devices_presorted = false;
   /// Half-open time range [t0, t1).
   std::int64_t t0_ns = INT64_MIN;

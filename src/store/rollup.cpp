@@ -30,6 +30,18 @@ constexpr std::uint32_t kNoNet = 0xffffffffu;
 constexpr std::uint32_t kCellUnset = 0xffffffffu;
 constexpr std::uint32_t kCellOut = 0xfffffffeu;
 
+/// The cause a late drop counts under (RollupStats::records_dropped_late).
+enum class LateCause { kStoredOffline, kTemporary, kOther };
+
+LateCause late_cause(const ConsumptionRecord& record) noexcept {
+  if (record.stored_offline) {
+    return LateCause::kStoredOffline;
+  }
+  return record.membership == core::MembershipKind::kTemporary
+             ? LateCause::kTemporary
+             : LateCause::kOther;
+}
+
 constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) noexcept {
   return a / b - ((a % b != 0 && (a ^ b) < 0) ? 1 : 0);
 }
@@ -371,9 +383,26 @@ struct RollupEngine::Rollup {
     return id;
   }
 
+  /// Counts one late drop in the stats, under its cause.
+  EMON_HOT void count_late(LateCause cause) {
+    ++stats.records_dropped_late;
+    switch (cause) {
+      case LateCause::kStoredOffline:
+        ++stats.late_stored_offline;
+        break;
+      case LateCause::kTemporary:
+        ++stats.late_temporary;
+        break;
+      case LateCause::kOther:
+        ++stats.late_other;
+        break;
+    }
+  }
+
   /// Folds one matching record (acceptance already checked) into its pane.
   /// Returns false for the defensive stale-slot case (the slot already
-  /// advanced past this pane; acceptance should have dropped it first).
+  /// advanced past this pane; acceptance should have dropped it first) —
+  /// the caller counts it as a late drop.
   EMON_HOT bool fold_record(std::size_t shard, std::uint64_t& cellw,
                             std::int64_t pane,
                             const ConsumptionRecord& record) {
@@ -382,8 +411,7 @@ struct RollupEngine::Rollup {
     Pane& p = ss.panes[slot_of(pane) * ss.stride + idx];
     if (p.seq != pane) {
       if (p.seq != kPaneUnset && p.seq > pane) {
-        ++stats.records_dropped_late;  // never fold backwards
-        return false;
+        return false;  // never fold backwards
       }
       p.seq = pane;
       p.partial = PanePartial{};
@@ -431,6 +459,11 @@ RollupEngine::RollupEngine(const Tsdb& tsdb, obs::MetricsRegistry* metrics)
   if (metrics != nullptr) {
     records_folded_ = metrics->counter("rollup_records_folded");
     records_dropped_late_ = metrics->counter("rollup_records_dropped_late");
+    late_stored_offline_ =
+        metrics->counter("rollup_late_dropped{cause=\"stored_offline\"}");
+    late_temporary_ =
+        metrics->counter("rollup_late_dropped{cause=\"temporary\"}");
+    late_other_ = metrics->counter("rollup_late_dropped{cause=\"other\"}");
     windows_closed_ = metrics->counter("rollup_windows_closed");
   }
 }
@@ -493,8 +526,7 @@ void RollupEngine::on_ingest(const ConsumptionRecord& record,
     Rollup& r = *rp;
     if (!r.sane_ts(record.timestamp_ns)) {
       if (r.in_scope(record)) {
-        ++r.stats.records_dropped_late;
-        records_dropped_late_.inc();
+        drop_late(r, record);
       }
       continue;
     }
@@ -546,15 +578,31 @@ void RollupEngine::on_ingest(const ConsumptionRecord& record,
     if (r.has_next_close && e_last < r.next_close_e) {
       // Every window containing this record was already emitted: beyond the
       // lateness horizon, cold queries remain the exact path.
-      ++r.stats.records_dropped_late;
-      records_dropped_late_.inc();
+      drop_late(r, record);
       continue;
     }
     if (r.fold_record(shard, cellw, pane, record)) {
       records_folded_.inc();
     } else {
-      records_dropped_late_.inc();  // stale-slot defensive drop
+      drop_late(r, record);  // stale-slot defensive drop
     }
+  }
+}
+
+void RollupEngine::drop_late(Rollup& r, const ConsumptionRecord& record) {
+  const LateCause cause = late_cause(record);
+  r.count_late(cause);
+  records_dropped_late_.inc();
+  switch (cause) {
+    case LateCause::kStoredOffline:
+      late_stored_offline_.inc();
+      break;
+    case LateCause::kTemporary:
+      late_temporary_.inc();
+      break;
+    case LateCause::kOther:
+      late_other_.inc();
+      break;
   }
 }
 
@@ -802,6 +850,8 @@ void RollupEngine::backfill(Rollup& r) {
       if (r.fold_record(shard, cellw, r.pane_of(rec.timestamp_ns), rec)) {
         ++r.stats.backfilled_records;
         --r.stats.records_folded;  // counted as backfilled, not live folds
+      } else {
+        r.count_late(late_cause(rec));  // not mirrored: backfill, not live
       }
     }
   };

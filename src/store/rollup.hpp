@@ -114,8 +114,14 @@ struct ClosedWindow {
 struct RollupStats {
   std::uint64_t records_folded = 0;
   /// Matching records whose last containing window was already emitted —
-  /// they fall through to the cold query path.
+  /// they fall through to the cold query path.  Split by cause below (the
+  /// three always sum to it): flushed from a device's offline buffer;
+  /// otherwise reported under temporary membership (a roamed slice);
+  /// otherwise a live home record that still came too late.
   std::uint64_t records_dropped_late = 0;
+  std::uint64_t late_stored_offline = 0;
+  std::uint64_t late_temporary = 0;
+  std::uint64_t late_other = 0;
   /// Out-of-order folds into a pane already inside a series' window fold
   /// (each forces one O(W/S) rebuild of that series at the next close).
   std::uint64_t pane_patches = 0;
@@ -134,6 +140,7 @@ class RollupEngine final : public Tsdb::IngestHook {
  public:
   /// `metrics` (optional) receives engine-level mirrors of the hot
   /// per-rollup counters — rollup_records_folded / rollup_records_dropped_late
+  /// (split as rollup_late_dropped{cause="stored_offline|temporary|other"})
   /// / rollup_windows_closed, summed across rollups (live ingest only;
   /// backfill is excluded).  The authoritative per-rollup numbers stay in
   /// RollupStats.
@@ -192,6 +199,10 @@ class RollupEngine final : public Tsdb::IngestHook {
   [[nodiscard]] ClosedWindow fold_window(Rollup& r, std::int64_t end_ns,
                                          const QueryPool* pool);
   void backfill(Rollup& r);
+  /// Counts one late drop in the rollup's stats and the registry mirrors,
+  /// under its cause.
+  void drop_late(Rollup& r, const ConsumptionRecord& record) EMON_OWNER_THREAD
+      EMON_HOT;
 
   const Tsdb* tsdb_;
   std::vector<std::unique_ptr<Rollup>> rollups_;
@@ -199,6 +210,9 @@ class RollupEngine final : public Tsdb::IngestHook {
   // Engine-level registry mirrors (no-ops when unbound).
   obs::Counter records_folded_;
   obs::Counter records_dropped_late_;
+  obs::Counter late_stored_offline_;
+  obs::Counter late_temporary_;
+  obs::Counter late_other_;
   obs::Counter windows_closed_;
 };
 

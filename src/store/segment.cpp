@@ -1,6 +1,7 @@
 #include "store/segment.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace emon::store {
 
@@ -9,6 +10,27 @@ namespace {
 // "ESG1" little-endian.
 constexpr std::uint32_t kSegmentMagic = 0x31475345;
 constexpr std::uint8_t kSegmentVersion = 1;
+
+/// Two's-complement difference: any pair of int64 clocks round-trips.
+std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
+/// Assembles a restart index (layout in Segment::BlockWalk), sized exactly.
+std::vector<std::uint8_t> restart_index(std::uint64_t block_records,
+                                        const util::ByteWriter& bounds,
+                                        const util::ByteWriter& restarts) {
+  util::ByteWriter header;
+  header.varint(block_records);
+  header.varint(bounds.size());
+  std::vector<std::uint8_t> index;
+  index.reserve(header.size() + bounds.size() + restarts.size());
+  for (const auto* part : {&header.bytes(), &bounds.bytes(), &restarts.bytes()}) {
+    index.insert(index.end(), part->begin(), part->end());
+  }
+  return index;
+}
 
 }  // namespace
 
@@ -132,7 +154,6 @@ SegmentResult<Segment> Segment::parse(std::span<const std::uint8_t> bytes) {
                         "expected " + std::to_string(kColumnCount) +
                             " columns, got " + std::to_string(*n_columns)};
   }
-  seg.columns_.reserve(kColumnCount);
   for (std::size_t c = 0; c < kColumnCount; ++c) {
     const auto len = r.try_u32();
     if (!len) {
@@ -141,8 +162,7 @@ SegmentResult<Segment> Segment::parse(std::span<const std::uint8_t> bytes) {
     if (r.remaining() < *len) {
       return SegmentError{SegmentFault::kTruncated, "column body"};
     }
-    seg.columns_.push_back(
-        ColumnSpan{bytes.size() - r.remaining(), *len});
+    seg.columns_[c] = ColumnSpan{bytes.size() - r.remaining(), *len};
     (void)r.try_raw(*len);
   }
   if (!r.done()) {
@@ -153,6 +173,14 @@ SegmentResult<Segment> Segment::parse(std::span<const std::uint8_t> bytes) {
     return SegmentError{SegmentFault::kCorrupt, "flags column size"};
   }
   seg.bytes_.assign(bytes.begin(), bytes.end());
+  // One block over every record, bounded by the summary (see BlockWalk).
+  util::ByteWriter bounds;
+  if (s.count != 0) {
+    bounds.zigzag(0);
+    bounds.varint(
+        static_cast<std::uint64_t>(wrapping_sub(s.t_max_ns, s.t_min_ns)));
+  }
+  seg.restarts_ = restart_index(s.count, bounds, util::ByteWriter{});
   return seg;
 }
 
@@ -289,7 +317,36 @@ Segment SegmentBuilder::seal() {
   util::ByteWriter cols[Segment::kColumnCount];
   std::int64_t prev_ts = 0;
   std::int64_t prev_ts_delta = 0;
+  // Restart index, written as the encode pass goes (layout in
+  // Segment::BlockWalk): a block's restart point when it starts, its bounds
+  // when it ends.
+  util::ByteWriter bounds;
+  util::ByteWriter restarts;
+  std::array<std::size_t, 7> offsets{};
+  std::int64_t prev_block_t_min = s.t_min_ns;
+  std::int64_t block_t_min = 0;
+  std::int64_t block_t_max = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    if (i % kRestartBlock == 0) {
+      if (i != 0) {
+        for (std::size_t c = 0; c < offsets.size(); ++c) {
+          restarts.varint(cols[c].size() - offsets[c]);
+          offsets[c] = cols[c].size();
+        }
+        restarts.zigzag(wrapping_sub(prev_ts, block_t_max));
+        restarts.zigzag(prev_ts_delta);
+        restarts.varint(sequences_[i - 1] - s.seq_min);
+        restarts.zigzag(intervals_[i - 1]);
+        restarts.zigzag(currents_q_[i - 1]);
+        restarts.zigzag(voltages_q_[i - 1]);
+        restarts.zigzag(energies_q_[i - 1]);
+      }
+      block_t_min = timestamps_[i];
+      block_t_max = timestamps_[i];
+    } else {
+      block_t_min = std::min(block_t_min, timestamps_[i]);
+      block_t_max = std::max(block_t_max, timestamps_[i]);
+    }
     // Timestamps: raw, delta, then delta-of-delta.
     if (i == 0) {
       cols[Segment::kColTimestamps].zigzag(timestamps_[0]);
@@ -317,6 +374,12 @@ Segment SegmentBuilder::seal() {
       cols[Segment::kColEnergies].zigzag(energies_q_[i] - energies_q_[i - 1]);
     }
     cols[Segment::kColNetworks].varint(network_ids_[i]);
+    if (i % kRestartBlock == kRestartBlock - 1 || i + 1 == n) {
+      bounds.zigzag(wrapping_sub(block_t_min, prev_block_t_min));
+      bounds.varint(static_cast<std::uint64_t>(
+          wrapping_sub(block_t_max, block_t_min)));
+      prev_block_t_min = block_t_min;
+    }
   }
   for (std::size_t i = 0; i < n; i += 4) {
     std::uint8_t packed = 0;
@@ -353,15 +416,22 @@ Segment SegmentBuilder::seal() {
   seg.device_ = device_;
   seg.summary_ = s;
   seg.dictionary_ = dictionary_;
-  seg.columns_.reserve(Segment::kColumnCount);
+  // The final size is known now: reserve it, so the sealed bytes carry no
+  // growth slack for the store's lifetime.
+  std::size_t total = w.size();
+  for (const auto& col : cols) {
+    total += 4 + col.size();
+  }
+  w.reserve(total);
   // Column offsets are only known as we lay the blocks down.
   for (std::size_t c = 0; c < Segment::kColumnCount; ++c) {
     const auto& bytes = cols[c].bytes();
     w.u32(static_cast<std::uint32_t>(bytes.size()));
-    seg.columns_.push_back(Segment::ColumnSpan{w.size(), bytes.size()});
+    seg.columns_[c] = Segment::ColumnSpan{w.size(), bytes.size()};
     w.raw(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
   }
   seg.bytes_ = w.take();
+  seg.restarts_ = restart_index(kRestartBlock, bounds, restarts);
   clear();
   return seg;
 }

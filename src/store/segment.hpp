@@ -37,6 +37,18 @@
 // skips that segment without decoding it.  SegmentCursor is the all-columns
 // case of the same decoder.
 //
+// Restart index.  A range fold decodes only the blocks its range touches.
+// `SegmentBuilder::seal` cuts the records into blocks of kRestartBlock and,
+// in the same encode pass, records per block its [t_min, t_max] and a
+// restart point: each varint column's byte offset at the block's first
+// record and the running delta state the encoder holds there.  The index is
+// varint-packed (about 40 B per block) and lives in memory only — the
+// serialized format is unchanged, and `Segment::parse` gives a segment
+// exactly one block covering all its records (bounds from the summary), so
+// foreign bytes fold through the same walk.  `Segment::fold(first, last)`
+// skips every block whose bounds miss the range, starts the decoder at the
+// first overlapping block's restart point, and stops after the last one.
+//
 // Corruption contract.  Parsing foreign bytes never throws: `Segment::parse`
 // returns a typed `SegmentError` (util::ByteReader try_* API underneath),
 // and SegmentCursor surfaces mid-stream corruption the same way.  Queries
@@ -46,6 +58,8 @@
 // stopped; foreign bytes that need a reason go through `Segment::parse` +
 // SegmentCursor.
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -226,6 +240,26 @@ struct SegmentSummary {
 
 // -- Sealed segment --------------------------------------------------------------
 
+/// Records per restart block of a sealed segment (see "Restart index").
+inline constexpr std::uint64_t kRestartBlock = 64;
+
+/// Where one block of a segment starts: the byte offset of its first record
+/// in each varint column (Segment column order; flags are fixed-width) and
+/// the decoder state just before it — the previous record's values and
+/// timestamp delta.
+struct SegmentRestart {
+  std::uint64_t record = 0;
+  std::array<std::uint32_t, 7> offsets{};
+  StoredRecord last;
+  std::int64_t ts_delta = 0;
+};
+
+/// Decode work one range fold did (Tsdb counts it per query, not per record).
+struct FoldCost {
+  std::uint64_t blocks_skipped = 0;
+  std::uint64_t records_decoded = 0;
+};
+
 template <unsigned Columns>
 class SegmentDecoder;
 class SegmentCursor;
@@ -250,6 +284,10 @@ class Segment {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
   }
+  /// Size of the in-memory restart index (not part of bytes()).
+  [[nodiscard]] std::size_t index_bytes() const noexcept {
+    return restarts_.size();
+  }
 
   /// Lazy decoding cursor positioned at the first record.
   [[nodiscard]] SegmentCursor cursor() const;
@@ -259,12 +297,22 @@ class Segment {
   [[nodiscard]] const NetworkId* find_network(
       const NetworkId& network) const noexcept;
 
-  /// Calls `fn(const StoredRecord&)` for every record in storage order,
-  /// decoding only timestamp, current, energy and the `Columns` mask.
-  /// Returns false if a column stream stopped early — foreign bytes only;
-  /// the records before that point were folded, nothing after it.
+  /// Calls `fn(const StoredRecord&)` for every record with timestamp in the
+  /// closed range [first, last], in storage order, decoding only timestamp,
+  /// current, energy and the `Columns` mask, and only the blocks whose
+  /// bounds overlap the range.  Returns false if a column stream stopped
+  /// early — foreign bytes only; the records before that point were folded,
+  /// nothing after it.  `cost` accumulates the blocks skipped and the
+  /// records decoded.
   template <unsigned Columns, typename Fn>
-  bool fold(Fn&& fn) const;
+  bool fold(std::int64_t first_ns, std::int64_t last_ns, Fn&& fn,
+            FoldCost& cost) const;
+  /// The same over every record.
+  template <unsigned Columns, typename Fn>
+  bool fold(Fn&& fn) const {
+    FoldCost cost;
+    return fold<Columns>(INT64_MIN, INT64_MAX, std::forward<Fn>(fn), cost);
+  }
 
   /// Decodes every record.  Intended for self-produced segments; on a
   /// corrupt column stream it returns the records decoded so far (the cursor
@@ -289,11 +337,114 @@ class Segment {
     kColFlags = 7,
     kColumnCount = 8,
   };
-  [[nodiscard]] util::ByteReader column(Column c) const noexcept {
+  /// Column `c` from byte `from` of its block on.
+  [[nodiscard]] util::ByteReader column(Column c,
+                                        std::size_t from = 0) const noexcept {
     const ColumnSpan& span = columns_[c];
+    from = std::min(from, span.length);
     return util::ByteReader{std::span<const std::uint8_t>(
-        bytes_.data() + span.offset, span.length)};
+        bytes_.data() + span.offset + from, span.length - from)};
   }
+
+  /// Walks the restart index block by block.  Layout: varint records per
+  /// block and varint size of the bounds area; the bounds area, per block
+  /// zigzag(t_min - previous block's t_min, the summary's t_min for block
+  /// 0) and varint(t_max - t_min); then the restart area, per block after
+  /// the first, seven varint column-offset advances over the previous
+  /// block's and the state — zigzag(last timestamp - previous block's
+  /// t_max), zigzag(timestamp delta), varint(last sequence - summary
+  /// seq_min), zigzag interval, current, voltage and energy.  Walking reads
+  /// only the bounds; a restart point is read when the decoder seeks to it.
+  /// Differences wrap (two's complement), so any int64 clock round-trips.
+  /// The index is self-built, never foreign, so a short read just ends the
+  /// walk.
+  class BlockWalk {
+   public:
+    explicit BlockWalk(const Segment& seg) noexcept
+        : seg_(&seg),
+          bounds_(std::span<const std::uint8_t>(seg.restarts_)),
+          restarts_(std::span<const std::uint8_t>{}) {
+      block_records_ = bounds_.try_varint().value_or(0);
+      const std::uint64_t bounds_bytes = bounds_.try_varint().value_or(0);
+      const std::size_t header = seg.restarts_.size() - bounds_.remaining();
+      const std::size_t split = static_cast<std::size_t>(
+          std::min<std::uint64_t>(bounds_bytes, bounds_.remaining()));
+      const std::span<const std::uint8_t> all(seg.restarts_);
+      bounds_ = util::ByteReader{all.subspan(header, split)};
+      restarts_ = util::ByteReader{all.subspan(header + split)};
+      t_min_ = seg.summary_.t_min_ns;
+    }
+
+    /// Moves to the next block; false past the last one.  Out of line: it
+    /// runs once per block, and inlined it crowds the fold's record loop.
+    [[gnu::noinline]] bool next() noexcept {
+      const std::uint64_t first = end_;
+      const auto dt = bounds_.try_zigzag();
+      const auto span = bounds_.try_varint();
+      if (block_records_ == 0 || first >= seg_->summary_.count || !dt ||
+          !span) {
+        return false;
+      }
+      prev_t_max_ = t_max_;
+      t_min_ = add(t_min_, *dt);
+      t_max_ = add(t_min_, static_cast<std::int64_t>(*span));
+      first_ = first;
+      end_ = std::min(seg_->summary_.count, first + block_records_);
+      return true;
+    }
+
+    [[nodiscard]] bool overlaps(std::int64_t first_ns,
+                                std::int64_t last_ns) const noexcept {
+      return t_min_ <= last_ns && t_max_ >= first_ns;
+    }
+    [[nodiscard]] bool inside(std::int64_t first_ns,
+                              std::int64_t last_ns) const noexcept {
+      return t_min_ >= first_ns && t_max_ <= last_ns;
+    }
+    /// The block's first record and one past its last.
+    [[nodiscard]] std::uint64_t first() const noexcept { return first_; }
+    [[nodiscard]] std::uint64_t end() const noexcept { return end_; }
+
+    /// The current block's restart point (reads the restart area forward
+    /// to it; the walk never goes back).  Out of line: only a seek needs it.
+    [[nodiscard, gnu::noinline]] const SegmentRestart& restart() noexcept {
+      while (restart_.record < first_) {
+        for (auto& offset : restart_.offsets) {
+          offset += static_cast<std::uint32_t>(
+              restarts_.try_varint().value_or(0));
+        }
+        StoredRecord& last = restart_.last;
+        last.timestamp_ns = add(prev_t_max_, restarts_.try_zigzag().value_or(0));
+        restart_.ts_delta = restarts_.try_zigzag().value_or(0);
+        last.sequence = seg_->summary_.seq_min +
+                        restarts_.try_varint().value_or(0);
+        last.interval_ns = restarts_.try_zigzag().value_or(0);
+        last.current_q = restarts_.try_zigzag().value_or(0);
+        last.voltage_q = restarts_.try_zigzag().value_or(0);
+        last.energy_q = restarts_.try_zigzag().value_or(0);
+        restart_.record += block_records_;
+      }
+      return restart_;
+    }
+
+   private:
+    static std::int64_t add(std::int64_t a, std::int64_t b) noexcept {
+      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                       static_cast<std::uint64_t>(b));
+    }
+
+    const Segment* seg_;
+    util::ByteReader bounds_;
+    util::ByteReader restarts_;
+    std::uint64_t block_records_ = 0;
+    std::int64_t t_min_ = 0;
+    std::int64_t t_max_ = 0;
+    std::int64_t prev_t_max_ = 0;
+    std::uint64_t first_ = 0;
+    std::uint64_t end_ = 0;
+    /// The last restart point read; record 0's is the all-zero state.
+    SegmentRestart restart_;
+  };
 
   DeviceId device_;
   SegmentSummary summary_;
@@ -303,8 +454,10 @@ class Segment {
     std::size_t offset = 0;
     std::size_t length = 0;
   };
-  std::vector<ColumnSpan> columns_;
+  std::array<ColumnSpan, kColumnCount> columns_{};
   std::vector<NetworkId> dictionary_;
+  /// Restart index (BlockWalk has the layout); in memory only.
+  std::vector<std::uint8_t> restarts_;
 };
 
 /// The one segment decoder: streams records in storage order, reading only
@@ -318,6 +471,7 @@ class SegmentDecoder {
  public:
   explicit SegmentDecoder(const Segment& segment) noexcept
       : segment_(&segment),
+        stop_(segment.count()),
         timestamps_(segment.column(Segment::kColTimestamps)),
         sequences_(segment.column(Segment::kColSequences)),
         intervals_(segment.column(Segment::kColIntervals)),
@@ -327,10 +481,29 @@ class SegmentDecoder {
         networks_(segment.column(Segment::kColNetworks)),
         flags_(segment.column(Segment::kColFlags)) {}
 
-  /// Decodes the next record into record(); false at end-of-segment or on
-  /// a corrupt column stream (then failure() is set).
+  /// Repositions the decoder at a block's restart point: the next record
+  /// decoded is `at.record`.
+  void seek(const SegmentRestart& at) noexcept {
+    timestamps_ = segment_->column(Segment::kColTimestamps, at.offsets[0]);
+    sequences_ = segment_->column(Segment::kColSequences, at.offsets[1]);
+    intervals_ = segment_->column(Segment::kColIntervals, at.offsets[2]);
+    currents_ = segment_->column(Segment::kColCurrents, at.offsets[3]);
+    voltages_ = segment_->column(Segment::kColVoltages, at.offsets[4]);
+    energies_ = segment_->column(Segment::kColEnergies, at.offsets[5]);
+    networks_ = segment_->column(Segment::kColNetworks, at.offsets[6]);
+    // Blocks start on a multiple of 4 records: a whole flags byte.
+    flags_ = segment_->column(Segment::kColFlags,
+                              static_cast<std::size_t>(at.record / 4));
+    rec_ = at.last;
+    ts_delta_ = at.ts_delta;
+    decoded_ = at.record;
+  }
+
+  /// Decodes the next record into record(); false at end-of-segment (or at
+  /// the stop_at() record) or on a corrupt column stream (then failure() is
+  /// set).
   bool next() noexcept {
-    if (decoded_ == segment_->count() || failure_ != nullptr) {
+    if (decoded_ == stop_ || failure_ != nullptr) {
       return false;
     }
     // Timestamps: raw, then delta, then delta-of-delta (the delta starts at
@@ -417,6 +590,11 @@ class SegmentDecoder {
     return true;
   }
 
+  /// Makes next() stop (cleanly) before record `end` as well.
+  void stop_at(std::uint64_t end) noexcept {
+    stop_ = std::min(end, segment_->count());
+  }
+
   /// The last record next() decoded.
   [[nodiscard]] const StoredRecord& record() const noexcept { return rec_; }
 
@@ -448,6 +626,7 @@ class SegmentDecoder {
 
   const Segment* segment_;
   std::uint64_t decoded_ = 0;
+  std::uint64_t stop_;
   const char* failure_ = nullptr;
   util::ByteReader timestamps_;
   util::ByteReader sequences_;
@@ -463,12 +642,44 @@ class SegmentDecoder {
 };
 
 template <unsigned Columns, typename Fn>
-bool Segment::fold(Fn&& fn) const {
+bool Segment::fold(std::int64_t first_ns, std::int64_t last_ns, Fn&& fn,
+                   FoldCost& cost) const {
+  // One loop over records; the rare block end hands over to the walk
+  // (starting with "the end of no block" before record 0).
   SegmentDecoder<Columns> decoder{*this};
-  while (decoder.next()) {
-    fn(decoder.record());
+  decoder.stop_at(0);
+  BlockWalk block{*this};
+  std::uint64_t from = 0;
+  bool inside = false;
+  for (;;) {
+    if (!decoder.next()) {
+      cost.records_decoded += decoder.decoded() - from;
+      if (decoder.failure() != nullptr) {
+        return false;
+      }
+      // Block end: move to the next block the range overlaps.
+      for (;;) {
+        if (!block.next()) {
+          return true;
+        }
+        if (block.overlaps(first_ns, last_ns)) {
+          break;
+        }
+        ++cost.blocks_skipped;
+      }
+      if (decoder.decoded() != block.first()) {
+        decoder.seek(block.restart());
+      }
+      from = decoder.decoded();
+      decoder.stop_at(block.end());
+      inside = block.inside(first_ns, last_ns);
+      continue;
+    }
+    const StoredRecord& r = decoder.record();
+    if (inside || (r.timestamp_ns >= first_ns && r.timestamp_ns <= last_ns)) {
+      fn(r);
+    }
   }
-  return decoder.failure() == nullptr;
 }
 
 /// Record-at-a-time cursor over a sealed segment: the all-columns case of

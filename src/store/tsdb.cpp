@@ -45,7 +45,10 @@ std::size_t fnv1a(const std::string& s) noexcept {
 /// appends into, plus a release-published record count.  A reader works
 /// against the count it acquired at capture; column slots below that count
 /// were fully written before the count store, so release/acquire on `count`
-/// is the only synchronization the data path needs.
+/// is the only synchronization the data path needs.  `sorted_prefix` counts
+/// the leading records whose timestamps never decrease; it only grows
+/// within a chunk and any value it ever held stays true, so a reader clamps
+/// it to its own count and binary-searches that prefix.
 struct Tsdb::HeadChunk {
   HeadChunk(DeviceId id, std::uint32_t cap, std::uint32_t dict_cap)
       : device(std::move(id)),
@@ -77,6 +80,12 @@ struct Tsdb::HeadChunk {
   /// always reads a fully-constructed name.
   std::unique_ptr<NetworkId[]> dict;
   std::atomic<std::uint32_t> count{0};
+  std::atomic<std::uint32_t> sorted_prefix{0};
+
+  /// Sorted leading records a reader that captured `visible` may search.
+  [[nodiscard]] std::uint32_t sorted(std::uint32_t visible) const noexcept {
+    return std::min(sorted_prefix.load(std::memory_order_relaxed), visible);
+  }
 
   /// Record i in stored form, filling timestamp, current, energy and the
   /// `Columns` mask — the head side of the range fold.  Reads dict only as
@@ -265,6 +274,8 @@ Tsdb::Tsdb(TsdbOptions options) : options_(options) {
   devices_ = reg->counter("tsdb_devices");
   segments_pruned_ = reg->counter("tsdb_segments_pruned");
   summary_hits_ = reg->counter("tsdb_summary_hits");
+  blocks_skipped_ = reg->counter("tsdb_blocks_skipped");
+  records_decoded_ = reg->counter("tsdb_records_decoded");
 }
 
 Tsdb::~Tsdb() {
@@ -331,6 +342,8 @@ void Tsdb::grow_chunk(WriterSeries& w, std::uint32_t min_capacity,
   }
   // Not yet reader-visible: the view publish below is the release that
   // covers these plain writes.
+  next->sorted_prefix.store(old.sorted_prefix.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
   next->count.store(w.count, std::memory_order_relaxed);
   const SeriesView* cur = w.handle.view.load(std::memory_order_relaxed);
   auto* view = new SeriesView(*cur);
@@ -348,7 +361,7 @@ void Tsdb::seal_head(Shard& shard, WriterSeries& w) {
     builder.append(w.chunk->record_at(i));
   }
   Segment seg = builder.seal();
-  sealed_bytes_.add(seg.byte_size());
+  sealed_bytes_.add(seg.byte_size() + seg.index_bytes());
   segments_sealed_.inc();
   shard.segments.push_back(std::move(seg));
   const Segment* stored = &shard.segments.back();
@@ -456,6 +469,10 @@ bool Tsdb::ingest(const ConsumptionRecord& record) {
     f |= kFlagOffline;
   }
   chunk->flags[i] = f;
+  if (chunk->sorted_prefix.load(std::memory_order_relaxed) == i &&
+      (i == 0 || record.timestamp_ns >= chunk->timestamps[i - 1])) {
+    chunk->sorted_prefix.store(i + 1, std::memory_order_relaxed);
+  }
   w.count = i + 1;
   // The one publish on the record fast path: everything above
   // happens-before a reader that acquires the new count.
@@ -559,6 +576,8 @@ TsdbStats Tsdb::stats() const {
   out.devices = static_cast<std::size_t>(devices_.value());
   out.segments_pruned = segments_pruned_.value();
   out.summary_hits = summary_hits_.value();
+  out.blocks_skipped = blocks_skipped_.value();
+  out.records_decoded = records_decoded_.value();
   return out;
 }
 
@@ -620,9 +639,14 @@ std::optional<std::pair<std::int64_t, std::int64_t>> Tsdb::observed_bounds(
     widen(seg->summary().t_min_ns, seg->summary().t_max_ns);
   }
   // The visible head prefix, not a head summary: the bounds must describe
-  // exactly the records this snapshot exposes.
+  // exactly the records this snapshot exposes.  Its sorted part is bounded
+  // by its ends.
   const HeadChunk& head = *ref.view->head;
-  for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
+  const std::uint32_t sorted = head.sorted(ref.head_visible);
+  if (sorted != 0) {
+    widen(head.timestamps[0], head.timestamps[sorted - 1]);
+  }
+  for (std::uint32_t i = sorted; i < ref.head_visible; ++i) {
     widen(head.timestamps[i], head.timestamps[i]);
   }
   return bounds;
@@ -634,13 +658,11 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
                       OnSummary&& on_summary, OnRecord&& on_record) const {
   const SeriesView& view = *ref.view;
   const std::size_t shard = ref.shard;
-  const auto in_range = [first_ns, last_ns](std::int64_t t) {
-    return t >= first_ns && t <= last_ns;
-  };
   const auto offline_passes = [&filter](std::uint8_t flags) {
     return !filter.stored_offline ||
            ((flags & kFlagOffline) != 0) == *filter.stored_offline;
   };
+  FoldCost cost;
   // The filter's columns join the query's own.  Each combination is its own
   // instantiation, so no record loop tests or decodes a column it does not
   // need.
@@ -679,24 +701,25 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
           continue;
         }
       }
-      // Self-sealed bytes: the fold cannot stop early (Segment::fold's
-      // contract); a corrupt stream would just end this segment's records.
-      (void)seg.fold<kColumns>([&](const StoredRecord& r) {
-        if (!in_range(r.timestamp_ns)) {
-          return;
-        }
-        if constexpr ((kColumns & columns::kNetwork) != 0) {
-          if (want != nullptr && r.network != want) {
-            return;
-          }
-        }
-        if constexpr ((kColumns & columns::kFlags) != 0) {
-          if (!offline_passes(r.flags)) {
-            return;
-          }
-        }
-        on_record(r);
-      });
+      // Only the blocks whose bounds overlap the range decode.  Self-sealed
+      // bytes: the fold cannot stop early (Segment::fold's contract); a
+      // corrupt stream would just end this segment's records.
+      (void)seg.fold<kColumns>(
+          first_ns, last_ns,
+          [&](const StoredRecord& r) {
+            if constexpr ((kColumns & columns::kNetwork) != 0) {
+              if (want != nullptr && r.network != want) {
+                return;
+              }
+            }
+            if constexpr ((kColumns & columns::kFlags) != 0) {
+              if (!offline_passes(r.flags)) {
+                return;
+              }
+            }
+            on_record(r);
+          },
+          cost);
     }
 
     // Visible head prefix, straight from the columns.  A network filter
@@ -707,10 +730,7 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
     const HeadChunk& head = *view.head;
     std::uint32_t seen_id = UINT32_MAX;
     bool seen_match = false;
-    for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
-      if (!in_range(head.timestamps[i])) {
-        continue;
-      }
+    const auto head_record = [&](std::uint32_t i) {
       if constexpr ((kColumns & columns::kNetwork) != 0) {
         if (filter.network) {
           const std::uint32_t id = head.network_ids[i];
@@ -719,17 +739,36 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
             seen_match = head.dict[id] == *filter.network;
           }
           if (!seen_match) {
-            continue;
+            return;
           }
         }
       }
       if constexpr ((kColumns & columns::kFlags) != 0) {
         if (!offline_passes(head.flags[i])) {
-          continue;
+          return;
         }
       }
       on_record(head.stored<kColumns>(i));
+    };
+    // The sorted prefix holds the in-range records as one run found by
+    // binary search; the unsorted suffix (an out-of-order arrival and
+    // everything after it) is checked record by record.  Storage order
+    // either way.
+    const std::int64_t* ts = head.timestamps.get();
+    const std::uint32_t sorted = head.sorted(ref.head_visible);
+    const auto from = static_cast<std::uint32_t>(
+        std::lower_bound(ts, ts + sorted, first_ns) - ts);
+    const auto to = static_cast<std::uint32_t>(
+        std::upper_bound(ts + from, ts + sorted, last_ns) - ts);
+    for (std::uint32_t i = from; i < to; ++i) {
+      head_record(i);
     }
+    for (std::uint32_t i = sorted; i < ref.head_visible; ++i) {
+      if (ts[i] >= first_ns && ts[i] <= last_ns) {
+        head_record(i);
+      }
+    }
+    cost.records_decoded += (to - from) + (ref.head_visible - sorted);
   };
   using columns::kFlags;
   using columns::kNetwork;
@@ -742,6 +781,8 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
   } else {
     run(std::integral_constant<unsigned, Columns>{});
   }
+  blocks_skipped_.add(cost.blocks_skipped, shard);
+  records_decoded_.add(cost.records_decoded, shard);
 }
 
 template <unsigned Columns, typename OnRecord, typename OnSummary>

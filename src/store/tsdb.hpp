@@ -24,10 +24,13 @@
 //
 // All five run one range fold (fold_range below) over the stored form:
 // sealed segments through Segment::fold, which decodes only the columns the
-// query reads (store/segment.hpp lists them per kind), and the open head
-// straight from its quantized columns.  The fold hands each in-range,
-// filter-passing record to the query as a StoredRecord of quantized
-// integers; the double-valued kinds see dequantize(q), which is exactly the
+// query reads (store/segment.hpp lists them per kind) and only the restart
+// blocks whose bounds overlap the range, and the open head straight from
+// its quantized columns, binary-searching its sorted prefix and checking
+// only the unsorted suffix record by record.  The fold hands each
+// in-range, filter-passing record to the query as a StoredRecord of
+// quantized integers, in storage order whichever records it skipped; the
+// double-valued kinds see dequantize(q), which is exactly the
 // current_ma/energy_mwh a materialized record carries, so answers are
 // bit-identical to folding materialized records.
 //
@@ -46,7 +49,9 @@
 //   * Ingest is single-writer: exactly one thread may call ingest() (and
 //     set_ingest_hook).  The fast path takes no locks — it appends into the
 //     open head chunk's pre-sized columns and publishes the new record count
-//     with one release store.
+//     with one release store.  Before that store it also advances the
+//     chunk's sorted_prefix (relaxed; the leading records whose timestamps
+//     never decrease) while the new record keeps the head in order.
 //   * Queries run concurrently with ingest and with each other, on any
 //     number of threads.  All reader-visible state is immutable once
 //     published: sealed segments never change; the open head is append-only
@@ -65,7 +70,9 @@
 //     all sealed segments of the captured view plus the first
 //     `head_visible` records of its open head, which together are exactly
 //     the first visible_records(ref) accepted records of that device, in
-//     acceptance order.  Readers never see a torn record, a half-built
+//     acceptance order.  sorted_prefix only grows within a chunk and every
+//     value it held stays true, so a reader clamps whatever it loads to its
+//     own head_visible and never needs it ordered against the count.  Readers never see a torn record, a half-built
 //     segment, or a series mid-rebalance.  Two refs captured in one guard
 //     (one fleet query) may sit at different per-device cuts; per-device
 //     answers compose deterministically from per-device cuts.
@@ -162,6 +169,7 @@ struct TsdbStats {
   std::uint64_t records_ingested = 0;
   std::uint64_t duplicates_dropped = 0;
   std::uint64_t segments_sealed = 0;
+  /// Encoded segment bytes plus their in-memory restart indexes.
   std::size_t sealed_bytes = 0;
   std::size_t devices = 0;
   /// Sealed segments skipped by summary pruning across all queries
@@ -169,6 +177,11 @@ struct TsdbStats {
   std::uint64_t segments_pruned = 0;
   /// Aggregate queries answered (partly) from summary blocks alone.
   std::uint64_t summary_hits = 0;
+  /// Restart blocks of decoded segments whose bounds missed the range.
+  std::uint64_t blocks_skipped = 0;
+  /// Records the range folds read: sealed records decoded plus head
+  /// records checked.
+  std::uint64_t records_decoded = 0;
 };
 
 class Tsdb {
@@ -393,10 +406,16 @@ class Tsdb {
   ///   * `on_summary` (or nullptr): under an empty filter, a segment wholly
   ///     inside the range is handed over as `on_summary(const
   ///     SegmentSummary&)` instead of being decoded (a summary hit).
-  ///   * Head records are read straight from the chunk's columns.  A
+  ///   * Inside a segment that is neither pruned nor a summary hit, only
+  ///     the restart blocks overlapping the range decode (Segment::fold);
+  ///     the others count as blocks_skipped.
+  ///   * Head records are read straight from the chunk's columns: the
+  ///     sorted prefix by binary search, the suffix record by record.  A
   ///     network filter reads dict[j] only for indices a visible record
   ///     references, so it never touches a slot the writer has not
   ///     published.
+  ///   * records_decoded counts the sealed records decoded plus the head
+  ///     records checked, added once per call.
   /// Half-open [t0, t1) queries go through fold_half_open().
   template <unsigned Columns, typename OnRecord, typename OnSummary>
   void fold_range(SeriesRef ref, std::int64_t first_ns, std::int64_t last_ns,
@@ -443,6 +462,8 @@ class Tsdb {
   obs::Counter devices_;
   obs::Counter segments_pruned_;
   obs::Counter summary_hits_;
+  obs::Counter blocks_skipped_;
+  obs::Counter records_decoded_;
   IngestHook* hook_ = nullptr;
   /// INT64_MIN = nothing ingested (a real INT64_MIN device clock would be
   /// indistinguishable — and is already rejected upstream as insane).

@@ -45,6 +45,9 @@ class ByteWriter {
     return std::move(buf_);
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  /// Room for `n` bytes in all, so a writer that knows its final size can
+  /// hand over a buffer without growth slack.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
   std::vector<std::uint8_t> buf_;

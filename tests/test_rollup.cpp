@@ -34,6 +34,7 @@
 #include "core/subscription.hpp"
 #include "net/channel.hpp"
 #include "net/mqtt.hpp"
+#include "obs/metrics.hpp"
 #include "sim/kernel.hpp"
 #include "store/query_engine.hpp"
 #include "store/rollup.hpp"
@@ -674,6 +675,59 @@ TEST(RollupLateness, BeyondHorizonRecordFallsToColdPath) {
   q.t0_ns = first.t0_ns;
   q.t1_ns = first.t1_ns;
   EXPECT_EQ(engine.aggregate(q).merged.count, emitted_count + 1);
+}
+
+TEST(RollupLateness, LateDropsSplitByCauseInStatsAndScrape) {
+  // Late records of each cause — offline-flushed (temporary or not),
+  // roamed-live, home-live — land in an already-emitted window.  The stats
+  // split and the registry mirrors must agree and sum to the total.
+  obs::MetricsRegistry reg(2);
+  Tsdb db{TsdbOptions{2, 32}};
+  RollupEngine rollups{db, &reg};
+  db.set_ingest_hook(&rollups);
+  RollupSpec spec;
+  spec.window_ns = kSecond;
+  spec.slide_ns = kSecond;
+  spec.lateness_ns = 100 * kMs;
+  const std::uint64_t id = rollups.register_rollup(spec);
+  ingest_all(db, device_stream("dev-1", 8, 3, "wan-0", "wan-1", 0));
+  db.ingest(watermark_record(5 * kSecond));
+  const auto windows = rollups.drain(id);
+  ASSERT_FALSE(windows.empty());
+
+  struct Late {
+    bool offline;
+    MembershipKind membership;
+  };
+  const std::vector<Late> lates{
+      {true, MembershipKind::kHome},      {true, MembershipKind::kTemporary},
+      {true, MembershipKind::kHome},      {false, MembershipKind::kTemporary},
+      {false, MembershipKind::kTemporary}, {false, MembershipKind::kHome}};
+  std::uint64_t seq = 100;
+  for (const Late& l : lates) {
+    ConsumptionRecord r = watermark_record(windows.front().t0_ns + 300 * kMs);
+    r.device_id = "dev-2";
+    r.sequence = ++seq;
+    r.stored_offline = l.offline;
+    r.membership = l.membership;
+    ASSERT_TRUE(db.ingest(r));
+  }
+
+  const RollupStats* stats = rollups.stats(id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->late_stored_offline, 3u);
+  EXPECT_EQ(stats->late_temporary, 2u);
+  EXPECT_EQ(stats->late_other, 1u);
+  EXPECT_EQ(stats->records_dropped_late, 6u);
+  const obs::MetricsSnapshot scrape = reg.snapshot();
+  const auto counter = [&scrape](const char* name) {
+    const std::uint64_t* v = scrape.counter(name);
+    return v == nullptr ? UINT64_MAX : *v;
+  };
+  EXPECT_EQ(counter("rollup_records_dropped_late"), 6u);
+  EXPECT_EQ(counter("rollup_late_dropped{cause=\"stored_offline\"}"), 3u);
+  EXPECT_EQ(counter("rollup_late_dropped{cause=\"temporary\"}"), 2u);
+  EXPECT_EQ(counter("rollup_late_dropped{cause=\"other\"}"), 1u);
 }
 
 TEST(RollupLateness, RunawayWatermarkGapSkipsInsteadOfFlooding) {

@@ -1366,19 +1366,23 @@ bool same_breakdown(const std::map<NetworkId, NetworkUsage>& a,
 /// roamed-era slice (network wan-2, temporary membership) and batches of
 /// offline-buffered records late, so its seals go out of order; the second
 /// wan-2 era makes wan-2 present in some segment dictionaries and absent
-/// from others.  A few QoS-1 retransmits are mixed in.
-std::vector<ConsumptionRecord> fold_workload(std::uint64_t seed) {
-  auto ordered = synthetic_stream(170, seed);
-  auto unordered = synthetic_stream(190, seed + 1, 2'000'000);
+/// from others.  A few QoS-1 retransmits are mixed in.  `repeat` lengthens
+/// both streams (the unordered pattern repeats every 190 records) so that
+/// large seal thresholds seal several multi-block segments.
+std::vector<ConsumptionRecord> fold_workload(std::uint64_t seed,
+                                             std::size_t repeat = 1) {
+  auto ordered = synthetic_stream(170 * repeat, seed);
+  auto unordered = synthetic_stream(190 * repeat, seed + 1, 2'000'000);
   std::vector<ConsumptionRecord> live;
   std::vector<ConsumptionRecord> late;
   for (std::size_t i = 0; i < unordered.size(); ++i) {
     ConsumptionRecord& r = unordered[i];
     r.device_id = "dev-2";
-    const bool roamed = (i >= 40 && i < 70) || (i >= 150 && i < 160);
+    const std::size_t k = i % 190;
+    const bool roamed = (k >= 40 && k < 70) || (k >= 150 && k < 160);
     r.network = roamed ? "wan-2" : "wan-1";
     r.membership = roamed ? MembershipKind::kTemporary : MembershipKind::kHome;
-    r.stored_offline = roamed || (i >= 100 && i < 125);
+    r.stored_offline = roamed || (k >= 100 && k < 125);
     (r.stored_offline ? late : live).push_back(r);
     if (i % 45 == 44) {  // a flush lands among the live records
       live.insert(live.end(), late.begin(), late.end());
@@ -1401,9 +1405,37 @@ std::vector<ConsumptionRecord> fold_workload(std::uint64_t seed) {
   return out;
 }
 
+/// Runs every query kind over [t0, t1) (and network_breakdown from t0)
+/// against the naive folds; the first mismatch fails with `label`.
+void expect_query_kinds_match(const Tsdb& db, const DeviceId& device,
+                              const std::vector<StoredInput>& in,
+                              std::int64_t t0, std::int64_t t1,
+                              const std::vector<RecordFilter>& filters,
+                              const std::string& label) {
+  for (std::size_t k = 0; k < filters.size(); ++k) {
+    const RecordFilter& f = filters[k];
+    const std::string at = label + " range [" + std::to_string(t0) + ", " +
+                           std::to_string(t1) + ") filter " +
+                           std::to_string(k);
+    ASSERT_TRUE(same_aggregate(db.aggregate(device, t0, t1, f),
+                               naive_aggregate(in, t0, t1, f)))
+        << at;
+    ASSERT_TRUE(same_stats(db.current_stats(device, t0, t1, f),
+                           naive_current_stats(in, t0, t1, f)))
+        << at;
+    for (const std::int64_t window :
+         {INT64_C(700'000'000), INT64_C(3'000'000'000)}) {
+      ASSERT_TRUE(same_windows(db.downsample(device, t0, t1, window, f),
+                               naive_downsample(in, t0, t1, window, f)))
+          << at << " window " << window;
+    }
+  }
+  ASSERT_TRUE(same_breakdown(db.network_breakdown(device, t0),
+                             naive_breakdown(in, t0)))
+      << label << " from " << t0;
+}
+
 TEST(TsdbFold, QueryKindsMatchNaiveFoldOverInputRecords) {
-  const auto arrivals = fold_workload(211);
-  const std::vector<DeviceId> devices{"dev-1", "dev-2"};
   std::vector<RecordFilter> filters(6);
   filters[1].network = "wan-1";
   filters[2].stored_offline = true;
@@ -1411,69 +1443,230 @@ TEST(TsdbFold, QueryKindsMatchNaiveFoldOverInputRecords) {
   filters[4].network = "wan-2";  // absent from most segment dictionaries
   filters[4].stored_offline = true;
   filters[5].network = "wan-9";  // in no dictionary at all
-  for (const DeviceId& device : devices) {
-    const auto in = accepted_inputs(arrivals, device);
-    ASSERT_GT(in.size(), 150u);
-    std::int64_t t_lo = INT64_MAX;
-    std::int64_t t_hi = INT64_MIN;
-    for (const auto& x : in) {
-      t_lo = std::min(t_lo, x.rec.timestamp_ns);
-      t_hi = std::max(t_hi, x.rec.timestamp_ns);
-    }
-    for (std::size_t threshold = 1; threshold <= 64; ++threshold) {
-      Tsdb db{TsdbOptions{2, threshold}};
-      for (const auto& r : arrivals) {
-        db.ingest(r);
+  std::vector<std::size_t> small_thresholds(64);
+  for (std::size_t t = 1; t <= 64; ++t) {
+    small_thresholds[t - 1] = t;
+  }
+  // Thresholds up to 64 seal one restart block per segment; 65 and up seal
+  // several, on the longer workload so that 256 seals more than once.
+  const std::vector<std::pair<std::size_t, std::vector<std::size_t>>> runs{
+      {1, small_thresholds}, {4, {63, 64, 65, 131, 256}}};
+  const std::vector<DeviceId> devices{"dev-1", "dev-2"};
+  for (const auto& [repeat, thresholds] : runs) {
+    const auto arrivals = fold_workload(211, repeat);
+    for (const DeviceId& device : devices) {
+      const auto in = accepted_inputs(arrivals, device);
+      ASSERT_GT(in.size(), 150u * repeat);
+      std::int64_t t_lo = INT64_MAX;
+      std::int64_t t_hi = INT64_MIN;
+      for (const auto& x : in) {
+        t_lo = std::min(t_lo, x.rec.timestamp_ns);
+        t_hi = std::max(t_hi, x.rec.timestamp_ns);
       }
-      // Range ends at accepted-record timestamps: one sits mid-way through
-      // a sealed segment, one mid-way through the open head (whose records
-      // are the last in.size() % threshold accepted).
-      const std::size_t head = in.size() % threshold;
-      const std::size_t sealed_mid =
-          std::min(threshold / 2 + threshold, in.size() - 1);
-      const std::size_t head_mid = in.size() - 1 - head / 2;
-      const std::int64_t t_seal = in[sealed_mid].rec.timestamp_ns;
-      const std::int64_t t_head = in[head_mid].rec.timestamp_ns;
-      const std::vector<std::pair<std::int64_t, std::int64_t>> ranges{
-          {INT64_MIN, INT64_MAX},
-          {std::min(t_seal, t_head), std::max(t_seal, t_head)},
-          {std::min(t_seal, t_head), std::max(t_seal, t_head) + 1},
-          {t_lo + (t_hi - t_lo) / 3, t_hi - (t_hi - t_lo) / 3},
-          {t_seal, t_seal},          // empty: t1 == t0
-          {t_head, t_seal - 1},      // empty or inverted
-          {t_seal + 1, t_seal + 2},  // between two records
-          {t_hi + 1, INT64_MAX},     // past everything
-      };
-      for (const auto& [t0, t1] : ranges) {
-        for (std::size_t k = 0; k < filters.size(); ++k) {
-          const RecordFilter& f = filters[k];
-          const std::string label = device + " threshold " +
-                                    std::to_string(threshold) + " range [" +
-                                    std::to_string(t0) + ", " +
-                                    std::to_string(t1) + ") filter " +
-                                    std::to_string(k);
-          ASSERT_TRUE(same_aggregate(db.aggregate(device, t0, t1, f),
-                                     naive_aggregate(in, t0, t1, f)))
-              << label;
-          ASSERT_TRUE(same_stats(db.current_stats(device, t0, t1, f),
-                                 naive_current_stats(in, t0, t1, f)))
-              << label;
-          for (const std::int64_t window :
-               {INT64_C(700'000'000), INT64_C(3'000'000'000)}) {
-            ASSERT_TRUE(same_windows(
-                db.downsample(device, t0, t1, window, f),
-                naive_downsample(in, t0, t1, window, f)))
-                << label << " window " << window;
+      for (const std::size_t threshold : thresholds) {
+        Tsdb db{TsdbOptions{2, threshold}};
+        for (const auto& r : arrivals) {
+          db.ingest(r);
+        }
+        // Range ends at accepted-record timestamps: one sits mid-way through
+        // a sealed segment, one mid-way through the open head (whose records
+        // are the last in.size() % threshold accepted).
+        const std::size_t head = in.size() % threshold;
+        const std::size_t sealed_mid =
+            std::min(threshold / 2 + threshold, in.size() - 1);
+        const std::size_t head_mid = in.size() - 1 - head / 2;
+        const std::int64_t t_seal = in[sealed_mid].rec.timestamp_ns;
+        const std::int64_t t_head = in[head_mid].rec.timestamp_ns;
+        std::vector<std::pair<std::int64_t, std::int64_t>> ranges{
+            {INT64_MIN, INT64_MAX},
+            {std::min(t_seal, t_head), std::max(t_seal, t_head)},
+            {std::min(t_seal, t_head), std::max(t_seal, t_head) + 1},
+            {t_lo + (t_hi - t_lo) / 3, t_hi - (t_hi - t_lo) / 3},
+            {t_seal, t_seal},          // empty: t1 == t0
+            {t_head, t_seal - 1},      // empty or inverted
+            {t_seal + 1, t_seal + 2},  // between two records
+            {t_hi + 1, INT64_MAX},     // past everything
+        };
+        if (repeat > 1) {
+          // Every restart-block boundary inside a sealed segment: the last
+          // record before it and the first after it, each +-1, as the
+          // range's start and as its end, plus the range straddling it.
+          const std::size_t sealed = in.size() - head;
+          for (std::size_t j = kRestartBlock; j < sealed; ++j) {
+            if (j % threshold % kRestartBlock != 0) {
+              continue;
+            }
+            const std::int64_t before = in[j - 1].rec.timestamp_ns;
+            const std::int64_t after = in[j].rec.timestamp_ns;
+            for (const std::int64_t t : {before, after}) {
+              for (const std::int64_t d : {-1, 0, 1}) {
+                ranges.emplace_back(t + d, INT64_MAX);
+                ranges.emplace_back(INT64_MIN, t + d);
+              }
+            }
+            ranges.emplace_back(std::min(before, after),
+                                std::max(before, after) + 1);
           }
         }
-      }
-      for (const std::int64_t from : {INT64_MIN, t_seal, t_head, t_hi + 1}) {
-        ASSERT_TRUE(same_breakdown(db.network_breakdown(device, from),
-                                   naive_breakdown(in, from)))
-            << device << " threshold " << threshold << " from " << from;
+        for (const auto& [t0, t1] : ranges) {
+          expect_query_kinds_match(
+              db, device, in, t0, t1, filters,
+              device + " threshold " + std::to_string(threshold));
+          if (HasFatalFailure()) {
+            return;
+          }
+        }
+        for (const std::int64_t from : {INT64_MIN, t_seal, t_head, t_hi + 1}) {
+          ASSERT_TRUE(same_breakdown(db.network_breakdown(device, from),
+                                     naive_breakdown(in, from)))
+              << device << " threshold " << threshold << " from " << from;
+        }
       }
     }
   }
+}
+
+TEST(TsdbFold, HeadSortedPrefixEndsAtAnOutOfOrderRecord) {
+  // All in the open head (no seal): 40 in-order records, one that arrives
+  // late (earlier than its predecessors, so the sorted prefix stops there
+  // mid-chunk), then 30 more in order, some of them before the late one's
+  // predecessors in time.  Every range end on every record +-1 must fold
+  // like the naive reference.
+  auto records = synthetic_stream(71, 5);
+  std::swap(records[40].timestamp_ns, records[20].timestamp_ns);
+  for (std::size_t i = 41; i < records.size(); ++i) {
+    records[i].timestamp_ns -= 3'000'000'000;  // overlaps the prefix
+  }
+  Tsdb db{TsdbOptions{1, 256}};
+  for (const auto& r : records) {
+    ASSERT_TRUE(db.ingest(r));
+  }
+  const auto in = accepted_inputs(records, "dev-1");
+  std::vector<RecordFilter> filters(3);
+  filters[1].network = "wan-1";
+  filters[2].stored_offline = false;
+  std::vector<std::int64_t> ends{INT64_MIN, INT64_MAX};
+  for (const auto& x : in) {
+    for (const std::int64_t d : {-1, 0, 1}) {
+      ends.push_back(x.rec.timestamp_ns + d);
+    }
+  }
+  for (std::size_t i = 0; i < ends.size(); i += 5) {
+    for (std::size_t j = 0; j < ends.size(); j += 3) {
+      expect_query_kinds_match(db, "dev-1", in, ends[i], ends[j], filters,
+                               "head");
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+  // A scan returns the in-range records in storage order.
+  const auto got = db.scan("dev-1", in[10].rec.timestamp_ns,
+                           in[60].rec.timestamp_ns);
+  std::vector<std::uint64_t> want;
+  for (const auto& x : in) {
+    if (x.rec.timestamp_ns >= in[10].rec.timestamp_ns &&
+        x.rec.timestamp_ns < in[60].rec.timestamp_ns) {
+      want.push_back(x.rec.sequence);
+    }
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sequence, want[i]);
+  }
+}
+
+bool same_stored(const StoredRecord& a, const StoredRecord& b) {
+  return a.timestamp_ns == b.timestamp_ns && a.current_q == b.current_q &&
+         a.energy_q == b.energy_q && *a.network == *b.network &&
+         a.flags == b.flags && a.sequence == b.sequence &&
+         a.interval_ns == b.interval_ns && a.voltage_q == b.voltage_q;
+}
+
+TEST(TsdbFold, ParsedSegmentFoldsEveryRangeLikeTheSealedOriginal) {
+  // A sealed segment folds through its restart blocks; the same bytes
+  // parsed back have one block.  Both must hand over exactly the records
+  // in range, in storage order, column for column — out-of-order and
+  // extreme clocks included.
+  auto records = synthetic_stream(200, 9);
+  std::swap(records[70].timestamp_ns, records[150].timestamp_ns);
+  records[100].timestamp_ns = INT64_MIN + 5;
+  records[101].timestamp_ns = INT64_MAX - 5;
+  SegmentBuilder builder;
+  for (const auto& r : records) {
+    builder.append(r);
+  }
+  const Segment sealed = builder.seal();
+  const auto parsed = Segment::parse(sealed.bytes());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().detail;
+  EXPECT_GT(sealed.index_bytes(), parsed.value().index_bytes());
+  std::vector<std::int64_t> ends{INT64_MIN, INT64_MAX};
+  for (const auto& r : records) {
+    for (const std::int64_t d : {-1, 0, 1}) {
+      if ((d < 0 && r.timestamp_ns == INT64_MIN) ||
+          (d > 0 && r.timestamp_ns == INT64_MAX)) {
+        continue;
+      }
+      ends.push_back(r.timestamp_ns + d);
+    }
+  }
+  std::uint64_t skipped = 0;
+  for (std::size_t i = 0; i < ends.size(); i += 2) {
+    for (std::size_t j = 0; j < ends.size(); j += 7) {
+      const std::int64_t first = ends[i];
+      const std::int64_t last = ends[j];
+      std::vector<StoredRecord> from_sealed;
+      std::vector<StoredRecord> from_parsed;
+      FoldCost sealed_cost;
+      FoldCost parsed_cost;
+      ASSERT_TRUE(sealed.fold<columns::kAll>(
+          first, last,
+          [&](const StoredRecord& r) { from_sealed.push_back(r); },
+          sealed_cost));
+      ASSERT_TRUE(parsed.value().fold<columns::kAll>(
+          first, last,
+          [&](const StoredRecord& r) { from_parsed.push_back(r); },
+          parsed_cost));
+      std::vector<std::uint64_t> want;
+      for (const auto& r : records) {
+        if (r.timestamp_ns >= first && r.timestamp_ns <= last) {
+          want.push_back(r.sequence);
+        }
+      }
+      ASSERT_EQ(from_sealed.size(), want.size()) << first << ".." << last;
+      ASSERT_EQ(from_parsed.size(), want.size()) << first << ".." << last;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(from_sealed[k].sequence, want[k]);
+        ASSERT_TRUE(same_stored(from_sealed[k], from_parsed[k]))
+            << first << ".." << last << " record " << k;
+      }
+      EXPECT_LE(parsed_cost.blocks_skipped, 1u);  // its one block
+      skipped += sealed_cost.blocks_skipped;
+    }
+  }
+  EXPECT_GT(skipped, 0u);  // the sealed side did skip blocks
+}
+
+TEST(TsdbFold, TrailingRangeSkipsBlocksAndCountsDecodeWork) {
+  // 256 in-order records sealed (4 blocks) plus a 20-record head.  A range
+  // covering the last 30 sealed records decodes only the last block and
+  // reads the head by binary search.
+  const auto records = synthetic_stream(276, 12);
+  Tsdb db{TsdbOptions{1, 256}};
+  for (const auto& r : records) {
+    db.ingest(r);
+  }
+  const TsdbStats before = db.stats();
+  EXPECT_EQ(before.blocks_skipped, 0u);
+  EXPECT_EQ(before.records_decoded, 0u);
+  const auto agg = db.aggregate("dev-1", records[226].timestamp_ns,
+                                records[266].timestamp_ns);
+  ASSERT_TRUE(agg.has_value());
+  EXPECT_EQ(agg->count, 40u);
+  const TsdbStats after = db.stats();
+  EXPECT_EQ(after.blocks_skipped - before.blocks_skipped, 3u);
+  // The last block (64 records) plus the 10 head records in range.
+  EXPECT_EQ(after.records_decoded - before.records_decoded, 64u + 10u);
 }
 
 }  // namespace
