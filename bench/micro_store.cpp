@@ -180,7 +180,8 @@ void BM_TsdbRangeAggregate(benchmark::State& state) {
   const std::int64_t t0 = 500'000'000'000;
   const std::int64_t t1 = 1'500'000'000'000;
   for (auto _ : state) {
-    auto agg = db.aggregate("dev-3", t0, t1);
+    const store::ReadGuard guard = db.read_guard();
+    auto agg = db.aggregate(db.lookup("dev-3"), t0, t1);
     benchmark::DoNotOptimize(agg);
   }
   state.counters["summary_hits"] =
@@ -209,7 +210,8 @@ void BM_TsdbTrailingAggregate(benchmark::State& state) {
     filter.network = "wan-1";
   }
   for (auto _ : state) {
-    auto agg = db.aggregate("dev-1", t0, t1, filter);
+    const store::ReadGuard guard = db.read_guard();
+    auto agg = db.aggregate(db.lookup("dev-1"), t0, t1, filter);
     benchmark::DoNotOptimize(agg);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -294,7 +296,9 @@ void BM_TsdbWindowScan(benchmark::State& state) {
   live.stored_offline = false;
   std::int64_t t0 = 0;
   for (auto _ : state) {
-    auto stats = db.current_stats("dev-5", t0, t0 + 1'000'000'000, live);
+    const store::ReadGuard guard = db.read_guard();
+    auto stats =
+        db.current_stats(db.lookup("dev-5"), t0, t0 + 1'000'000'000, live);
     benchmark::DoNotOptimize(stats);
     t0 = (t0 + 1'000'000'000) % 1'900'000'000'000;
   }
@@ -305,7 +309,8 @@ void BM_TsdbDownsample(benchmark::State& state) {
   // Dashboard-style query: 100 s of history in 10 s buckets.
   store::Tsdb& db = query_fixture();
   for (auto _ : state) {
-    auto windows = db.downsample("dev-2", 0, 100'000'000'000,
+    const store::ReadGuard guard = db.read_guard();
+    auto windows = db.downsample(db.lookup("dev-2"), 0, 100'000'000'000,
                                  10'000'000'000);
     benchmark::DoNotOptimize(windows);
   }
@@ -316,7 +321,8 @@ void BM_TsdbNetworkBreakdown(benchmark::State& state) {
   // The billing read: per-network subtotals from segment dictionaries.
   store::Tsdb& db = query_fixture();
   for (auto _ : state) {
-    auto breakdown = db.network_breakdown("dev-7");
+    const store::ReadGuard guard = db.read_guard();
+    auto breakdown = db.network_breakdown(db.lookup("dev-7"));
     benchmark::DoNotOptimize(breakdown);
   }
 }

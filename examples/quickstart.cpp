@@ -64,23 +64,29 @@ int main() {
   std::cout << bills.render() << '\n';
 
   // Historical queries against the aggregator's embedded time-series store:
-  // "energy for dev-1 over [10 s, 20 s)", downsampled into 2 s windows.
-  const auto& tsdb = bed.aggregator(0).tsdb();
-  const std::int64_t t0 = sim::seconds(10).ns();
-  const std::int64_t t1 = sim::seconds(20).ns();
+  // "energy for dev-1 over [10 s, 20 s)", downsampled into 2 s windows — a
+  // one-device query through the store's query engine.
+  const auto& engine = bed.aggregator(0).query_engine();
+  store::QuerySpec dev1;
+  dev1.devices = {"dev-1"};
+  dev1.t0_ns = sim::seconds(10).ns();
+  dev1.t1_ns = sim::seconds(20).ns();
+  dev1.window_ns = sim::seconds(2).ns();
   util::Table windows({"window start [s]", "records", "avg current [mA]",
                        "energy [mWh]"});
-  for (const auto& w :
-       tsdb.downsample("dev-1", t0, t1, sim::seconds(2).ns())) {
-    windows.row(util::Table::num(static_cast<double>(w.start_ns) / 1e9, 0),
-                w.count, util::Table::num(w.avg_current_ma, 1),
-                util::Table::num(w.sum_energy_mwh, 3));
+  for (const auto& [id, series] : engine.downsample(dev1).per_device) {
+    for (const auto& w : series) {
+      windows.row(util::Table::num(static_cast<double>(w.start_ns) / 1e9, 0),
+                  w.count, util::Table::num(w.avg_current_ma, 1),
+                  util::Table::num(w.sum_energy_mwh, 3));
+    }
   }
   std::cout << "store query: dev-1 over [10 s, 20 s), 2 s windows\n"
             << windows.render();
-  if (const auto agg10 = tsdb.aggregate("dev-1", t0, t1)) {
-    std::cout << "range total: " << util::Table::num(agg10->sum_energy_mwh, 3)
-              << " mWh across " << agg10->count << " records\n";
+  if (const auto range = engine.aggregate(dev1); !range.empty()) {
+    std::cout << "range total: "
+              << util::Table::num(range.merged.sum_energy_mwh, 3)
+              << " mWh across " << range.merged.count << " records\n";
   }
   return 0;
 }

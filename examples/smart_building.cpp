@@ -79,8 +79,8 @@ int main() {
   std::cout << floors.render() << '\n';
 
   // Building-level accounting straight from the shared chain.
-  core::BillingService building{"building", core::Tariff{}};
-  building.ingest_ledger(bed.chain().ledger());
+  const core::LedgerAudit building =
+      core::audit_ledger(bed.chain().ledger(), "building", core::Tariff{});
   double total_device_mwh = 0.0;
   for (std::size_t i = 0; i < bed.device_count(); ++i) {
     total_device_mwh +=
@@ -88,8 +88,8 @@ int main() {
   }
   std::cout << "chain-accounted energy : "
             << util::Table::num(building.total_energy_mwh(), 1) << " mWh ("
-            << building.records_ingested() << " records, "
-            << building.duplicates_skipped() << " duplicates skipped)\n";
+            << building.records << " records, " << building.duplicates
+            << " duplicates skipped)\n";
   std::cout << "device-metered energy  : "
             << util::Table::num(total_device_mwh, 1) << " mWh\n";
 

@@ -47,7 +47,7 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       subscriptions_(broker_, rollup_engine_, kernel.now().ns(),
                      config.aggregator.rollup_lateness.ns(),
                      &query_engine_.pool(), &metrics_),
-      billing_(network_, Tariff{}),
+      billing_(network_, Tariff{}, query_engine_),
       feeder_meter_(feeder_bus_, *[&]() -> hw::Ina219* {
         // The feeder INA219 is created before EnergyMeter binds it; the
         // lambda keeps initialization order explicit.
@@ -60,7 +60,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       }(), [&kernel] { return kernel.now(); }) {
   chain_.register_writer(chain::WriterKey{id_, chain_secret_});
   commits_.register_writer(id_);
-  billing_.bind_engine(&query_engine_);
   // Every accepted record folds into the maintained roll-ups as it lands.
   tsdb_.set_ingest_hook(&rollup_engine_);
   subscriptions_.attach();

@@ -11,8 +11,9 @@ namespace {
 const std::map<NetworkId, store::NetworkUsage> kNoUsage;
 }  // namespace
 
-BillingService::BillingService(NetworkId home_network, Tariff tariff)
-    : home_(std::move(home_network)), tariff_(tariff) {}
+BillingService::BillingService(NetworkId home_network, Tariff tariff,
+                               const store::QueryEngine& engine)
+    : home_(std::move(home_network)), tariff_(tariff), engine_(&engine) {}
 
 void BillingService::mark_billable(const DeviceId& id, std::int64_t from_ns) {
   if (billable_.try_emplace(id, from_ns).second) {
@@ -30,35 +31,6 @@ void BillingService::preview_observe(const store::ClosedWindow& window) {
         network != home_ ? tariff_.roaming_multiplier : 1.0;
     preview_.energy_mwh += usage.energy_mwh;
     preview_.est_cost += kwh * tariff_.home_price_per_kwh * multiplier;
-  }
-}
-
-void BillingService::ingest(const ConsumptionRecord& record) {
-  // Duplicate suppression on (device, sequence): retransmitted or doubly
-  // forwarded records must not double-bill.
-  auto& seen = seen_sequences_[record.device_id];
-  const auto [it, inserted] = seen.emplace(record.sequence, true);
-  (void)it;
-  if (!inserted) {
-    ++duplicates_;
-    return;
-  }
-  auto& bucket = buckets_[record.device_id][record.network];
-  bucket.energy_mwh += record.energy_mwh;
-  bucket.records += 1;
-  total_mwh_ += record.energy_mwh;
-  ++ingested_;
-}
-
-void BillingService::ingest_ledger(const chain::Ledger& ledger) {
-  for (const auto& block : ledger.blocks()) {
-    for (const auto& raw : block.records) {
-      try {
-        ingest(deserialize_record(raw));
-      } catch (const util::DecodeError&) {
-        ++foreign_;
-      }
-    }
   }
 }
 
@@ -82,22 +54,17 @@ Invoice BillingService::price(const DeviceId& id, const Usage& usage) const {
 }
 
 Invoice BillingService::invoice_for(const DeviceId& id) const {
-  if (engine_ != nullptr) {
-    // A one-device fleet query: the same per-device fold invoice_all runs,
-    // from the device's scope mark on.
-    store::QuerySpec spec;
-    spec.devices = {id};
-    const auto mark = billable_.find(id);
-    if (mark != billable_.end()) {
-      spec.t0_ns = mark->second;
-    }
-    const store::FleetBreakdown fleet = engine_->network_breakdown(spec);
-    return price(id, fleet.per_device.empty()
-                         ? kNoUsage
-                         : fleet.per_device.front().second);
+  // A one-device fleet query: the same per-device fold invoice_all runs,
+  // from the device's scope mark on.
+  store::QuerySpec spec;
+  spec.devices = {id};
+  const auto mark = billable_.find(id);
+  if (mark != billable_.end()) {
+    spec.t0_ns = mark->second;
   }
-  const auto it = buckets_.find(id);
-  return price(id, it == buckets_.end() ? kNoUsage : it->second);
+  const store::FleetBreakdown fleet = engine_->network_breakdown(spec);
+  return price(id, fleet.per_device.empty() ? kNoUsage
+                                            : fleet.per_device.front().second);
 }
 
 store::QuerySpec BillingService::billable_spec() const {
@@ -115,12 +82,6 @@ store::QuerySpec BillingService::billable_spec() const {
 
 std::vector<Invoice> BillingService::invoice_all() const {
   std::vector<Invoice> out;
-  if (engine_ == nullptr) {
-    for (const auto& [id, usage] : buckets_) {
-      out.push_back(price(id, usage));
-    }
-    return out;
-  }
   // An empty billable set must not fall into the engine's "empty device
   // list = every device" convention.
   if (billable_.empty()) {
@@ -130,7 +91,8 @@ std::vector<Invoice> BillingService::invoice_all() const {
   // Merge-join against the billed set (both sorted) so a billable device
   // whose history is entirely out of scope still gets its zero invoice,
   // exactly like invoice_for.
-  const store::FleetBreakdown fleet = engine_->network_breakdown(billable_spec());
+  const store::FleetBreakdown fleet =
+      engine_->network_breakdown(billable_spec());
   const auto billed = billed_devices();
   out.reserve(billed.size());
   std::size_t i = 0;
@@ -147,26 +109,16 @@ std::vector<Invoice> BillingService::invoice_all() const {
 
 std::vector<DeviceId> BillingService::billed_devices() const {
   std::vector<DeviceId> out;
-  if (engine_ != nullptr) {
-    out.reserve(billable_.size());
-    for (const auto& [id, _] : billable_) {
-      if (engine_->tsdb().has_device(id)) {
-        out.push_back(id);
-      }
+  out.reserve(billable_.size());
+  for (const auto& [id, _] : billable_) {
+    if (engine_->tsdb().has_device(id)) {
+      out.push_back(id);
     }
-    return out;
-  }
-  out.reserve(buckets_.size());
-  for (const auto& [id, _] : buckets_) {
-    out.push_back(id);
   }
   return out;
 }
 
 double BillingService::total_energy_mwh() const {
-  if (engine_ == nullptr) {
-    return total_mwh_;
-  }
   // One fleet query across all billable devices (per-device scope marks
   // ride along as t0 overrides).  The empty set short-circuits: an empty
   // device list means "every device" to the engine.
@@ -174,6 +126,36 @@ double BillingService::total_energy_mwh() const {
     return 0.0;
   }
   return engine_->network_breakdown(billable_spec()).total_energy_mwh();
+}
+
+LedgerAudit audit_ledger(const chain::Ledger& ledger, const NetworkId& home,
+                         Tariff tariff) EMON_OWNER_THREAD_CONTEXT {
+  // This function owns the scratch store, so it is its ingest thread.
+  LedgerAudit audit;
+  store::Tsdb tsdb;
+  for (const auto& block : ledger.blocks()) {
+    for (const auto& raw : block.records) {
+      ConsumptionRecord record;
+      try {
+        record = deserialize_record(raw);
+      } catch (const util::DecodeError&) {
+        ++audit.foreign;
+        continue;
+      }
+      if (tsdb.ingest(record)) {
+        ++audit.records;
+      } else {
+        ++audit.duplicates;
+      }
+    }
+  }
+  const store::QueryEngine engine{tsdb};
+  BillingService billing{home, tariff, engine};
+  for (const DeviceId& id : tsdb.devices()) {
+    billing.mark_billable(id);
+  }
+  audit.invoices = billing.invoice_all();
+  return audit;
 }
 
 }  // namespace emon::core

@@ -9,17 +9,15 @@
 // with a per-network surcharge (host networks may charge for infrastructure
 // use).
 //
-// Two modes share the pricing logic:
-//   * store-backed (the aggregator's mode): bind_engine() points the service
-//     at the aggregator's store::QueryEngine, and every invoicing read is
-//     one QueryEngine::network_breakdown over the billable set (or the one
-//     device invoiced) — the store is the single source of historical
-//     truth, there is no second accumulator to drift from it.
-//     mark_billable() scopes invoicing to home members (the store also holds
-//     visiting devices' history, which their *home* aggregator bills).
-//   * standalone accumulator: `ingest()`/`ingest_ledger()` keep exact
-//     per-device/per-network buckets — used for audit replay of the chain
-//     and as an independent reference in tests.
+// One billing algebra: every invoice is priced from the store.  The
+// service reads its aggregator's store::QueryEngine; each invoicing read is
+// one QueryEngine::network_breakdown over the billable set (or the one
+// device invoiced), so there is no second accumulator to drift from the
+// store.  mark_billable() scopes invoicing to home members (the store also
+// holds visiting devices' history, which their *home* aggregator bills).
+// Chain audit (audit_ledger below) replays the ledger into a scratch store
+// and bills it through the same fold, so an audit invoice equals the live
+// invoice over the same records bit for bit.
 
 #include <cstdint>
 #include <map>
@@ -30,6 +28,7 @@
 #include "store/query_engine.hpp"
 #include "store/rollup.hpp"
 #include "store/tsdb.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace emon::core {
 
@@ -71,15 +70,11 @@ struct BillingPreview {
 
 class BillingService {
  public:
-  BillingService(NetworkId home_network, Tariff tariff);
+  /// Prices invoices from `engine`'s queries; the engine must outlive the
+  /// service.
+  BillingService(NetworkId home_network, Tariff tariff,
+                 const store::QueryEngine& engine);
 
-  // -- Store-backed mode -------------------------------------------------------
-
-  /// Prices invoices from `engine` queries over its Tsdb instead of
-  /// internal buckets.
-  void bind_engine(const store::QueryEngine* engine) noexcept {
-    engine_ = engine;
-  }
   /// Registers a device this service is responsible for billing (home
   /// members; visiting devices are billed by their own home aggregator).
   /// `from_ns` scopes billing to records from that timestamp on — an
@@ -96,34 +91,17 @@ class BillingService {
     return preview_;
   }
 
-  // -- Standalone accumulator mode ---------------------------------------------
-
-  /// Ingests a single validated record.
-  void ingest(const ConsumptionRecord& record);
-
-  /// Ingests every record of every block in a ledger (e.g. on audit replay;
-  /// records not parseable as ConsumptionRecord are counted as foreign).
-  void ingest_ledger(const chain::Ledger& ledger);
-
-  // -- Invoicing (both modes) --------------------------------------------------
+  // -- Invoicing ---------------------------------------------------------------
 
   [[nodiscard]] Invoice invoice_for(const DeviceId& id) const;
-  /// Invoices every billed device (store-backed: a single fleet breakdown
-  /// query, shard-parallel).  Returned in sorted device order.
+  /// Invoices every billed device with a single fleet breakdown query,
+  /// shard-parallel.  Returned in sorted device order.
   [[nodiscard]] std::vector<Invoice> invoice_all() const;
+  /// Billable devices the store holds records for, in sorted order.
   [[nodiscard]] std::vector<DeviceId> billed_devices() const;
   /// Total energy across all billed devices and networks (conservation
   /// checks).
   [[nodiscard]] double total_energy_mwh() const;
-  [[nodiscard]] std::uint64_t records_ingested() const noexcept {
-    return ingested_;
-  }
-  [[nodiscard]] std::uint64_t foreign_records_skipped() const noexcept {
-    return foreign_;
-  }
-  [[nodiscard]] std::uint64_t duplicates_skipped() const noexcept {
-    return duplicates_;
-  }
 
  private:
   using Usage = std::map<NetworkId, store::NetworkUsage>;
@@ -137,7 +115,7 @@ class BillingService {
 
   NetworkId home_;
   Tariff tariff_;
-  const store::QueryEngine* engine_ = nullptr;
+  const store::QueryEngine* engine_;
   /// Billable devices -> earliest record timestamp this service bills.
   std::map<DeviceId, std::int64_t> billable_;
   /// The same keys as a sorted vector, maintained by mark_billable — lent
@@ -145,14 +123,34 @@ class BillingService {
   /// read skips both the per-call id copy and the engine's sort+unique.
   std::vector<DeviceId> billable_ids_;
   BillingPreview preview_;
-  // Accumulator mode: device -> network -> usage.
-  std::map<DeviceId, Usage> buckets_;
-  // device -> seen sequence numbers (duplicate suppression).
-  std::map<DeviceId, std::map<std::uint64_t, bool>> seen_sequences_;
-  double total_mwh_ = 0.0;
-  std::uint64_t ingested_ = 0;
-  std::uint64_t foreign_ = 0;
-  std::uint64_t duplicates_ = 0;
 };
+
+/// A chain audit: the ledger's records billed through the store.
+struct LedgerAudit {
+  /// One invoice per device with records on the chain, in device order.
+  std::vector<Invoice> invoices;
+  /// Records billed (first copy of each (device, sequence)).
+  std::uint64_t records = 0;
+  /// Later copies of an already billed (device, sequence).
+  std::uint64_t duplicates = 0;
+  /// Payloads that do not decode as a ConsumptionRecord.
+  std::uint64_t foreign = 0;
+
+  [[nodiscard]] double total_energy_mwh() const noexcept {
+    double total = 0.0;
+    for (const Invoice& invoice : invoices) {
+      total += invoice.total_energy_mwh;
+    }
+    return total;
+  }
+};
+
+/// Replays every record of every block into a scratch store::Tsdb, whose
+/// ingest dedup decides duplicates, and invoices every replayed device
+/// from `home`'s point of view through a one-worker QueryEngine — the same
+/// fold live billing runs.
+[[nodiscard]] LedgerAudit audit_ledger(const chain::Ledger& ledger,
+                                       const NetworkId& home, Tariff tariff)
+    EMON_OWNER_THREAD_CONTEXT;
 
 }  // namespace emon::core

@@ -239,8 +239,8 @@ std::vector<std::pair<DeviceId, T>> QueryEngine::per_device(
     const auto buckets = partition(spec);
     pool_.parallel_for(buckets.size(), [&](std::size_t s) {
       // One reader pin per shard task: lookup() and every use of the refs
-      // it returns run under this guard (the ref-based query overloads
-      // require the caller to hold it — we are that caller here).
+      // it returns run under this guard (the ref-based folds require the
+      // caller to hold it — we are that caller here).
       const ReadGuard guard = tsdb_->read_guard();
       for (const auto& id : buckets[s]) {
         const Tsdb::SeriesRef ref = tsdb_->lookup(id);

@@ -10,9 +10,13 @@
 // pool, and merges the partial results with plain code on the caller's
 // thread.
 //
+// This is the store's one read surface: a one-device read is a QuerySpec
+// naming that device.  The Tsdb keeps only the per-series folds the engine
+// runs on each resolved SeriesRef.
+//
 // Determinism rule — results are bit-identical for any worker count:
-//   * each shard's fold runs the exact sequential per-device code the Tsdb
-//     itself exposes (scan/aggregate/...), one worker per shard at a time;
+//   * each shard's fold runs the Tsdb's sequential per-series fold
+//     (scan/aggregate/... on a SeriesRef), one worker per shard at a time;
 //   * per-device results are emitted sorted by device id, each device's
 //     records in its storage order (time-sorted only when that device's
 //     ingest was in-order — an out-of-order roamed batch stays where the
@@ -250,8 +254,8 @@ class QueryEngine {
   /// Runs `fn(device, ref)` for every spec device, one shard per pool task,
   /// and returns the non-nullopt results sorted by device id.  The ref is
   /// pre-resolved (falsy for unknown devices): the all-devices walk hands
-  /// out each shard-map entry in place, so folds skip the public per-device
-  /// re-hash entirely; explicit lists resolve each id once.
+  /// out each shard-map entry in place, so folds skip the lookup() re-hash
+  /// entirely; explicit lists resolve each id once.
   template <typename T, typename Fn>
   [[nodiscard]] std::vector<std::pair<DeviceId, T>> per_device(
       const QuerySpec& spec, const Fn& fn) const;

@@ -508,7 +508,7 @@ Tsdb::SeriesRef Tsdb::capture(const SeriesHandle& handle,
   return SeriesRef{view, visible, shard_index};
 }
 
-Tsdb::SeriesRef Tsdb::find_series(const DeviceId& id) const {
+Tsdb::SeriesRef Tsdb::lookup(const DeviceId& id) const {
   const std::size_t shard_index = shard_of(id);
   const ShardIndex* index =
       shards_[shard_index].index.load(std::memory_order_seq_cst);
@@ -519,10 +519,6 @@ Tsdb::SeriesRef Tsdb::find_series(const DeviceId& id) const {
     return {};
   }
   return capture(*it->second, shard_index);
-}
-
-Tsdb::SeriesRef Tsdb::lookup(const DeviceId& id) const {
-  return find_series(id);
 }
 
 std::uint64_t Tsdb::series_ordinal(SeriesRef ref) const noexcept {
@@ -538,7 +534,7 @@ std::uint64_t Tsdb::visible_records(SeriesRef ref) const noexcept {
 
 bool Tsdb::has_device(const DeviceId& id) const {
   const ReadGuard guard = epochs_.pin();
-  return static_cast<bool>(find_series(id));
+  return static_cast<bool>(lookup(id));
 }
 
 std::vector<DeviceId> Tsdb::devices() const {
@@ -798,14 +794,6 @@ void Tsdb::fold_half_open(SeriesRef ref, std::int64_t t0_ns,
                       std::forward<OnRecord>(on_record));
 }
 
-std::vector<ConsumptionRecord> Tsdb::scan(const DeviceId& device,
-                                          std::int64_t t0_ns,
-                                          std::int64_t t1_ns,
-                                          const RecordFilter& filter) const {
-  const ReadGuard guard = epochs_.pin();
-  return scan(find_series(device), t0_ns, t1_ns, filter);
-}
-
 std::vector<ConsumptionRecord> Tsdb::scan(SeriesRef ref, std::int64_t t0_ns,
                                           std::int64_t t1_ns,
                                           const RecordFilter& filter) const {
@@ -817,15 +805,6 @@ std::vector<ConsumptionRecord> Tsdb::scan(SeriesRef ref, std::int64_t t0_ns,
         [&](const StoredRecord& r) { out.push_back(r.materialize(device)); });
   }
   return out;
-}
-
-std::vector<WindowAggregate> Tsdb::downsample(const DeviceId& device,
-                                              std::int64_t t0_ns,
-                                              std::int64_t t1_ns,
-                                              std::int64_t window_ns,
-                                              const RecordFilter& filter) const {
-  const ReadGuard guard = epochs_.pin();
-  return downsample(find_series(device), t0_ns, t1_ns, window_ns, filter);
 }
 
 std::vector<WindowAggregate> Tsdb::downsample(SeriesRef ref, std::int64_t t0_ns,
@@ -910,14 +889,6 @@ std::vector<WindowAggregate> Tsdb::downsample(SeriesRef ref, std::int64_t t0_ns,
   return out;
 }
 
-std::optional<DeviceAggregate> Tsdb::aggregate(const DeviceId& device,
-                                               std::int64_t t0_ns,
-                                               std::int64_t t1_ns,
-                                               const RecordFilter& filter) const {
-  const ReadGuard guard = epochs_.pin();
-  return aggregate(find_series(device), t0_ns, t1_ns, filter);
-}
-
 std::optional<DeviceAggregate> Tsdb::aggregate(SeriesRef ref,
                                                std::int64_t t0_ns,
                                                std::int64_t t1_ns,
@@ -976,13 +947,6 @@ std::optional<DeviceAggregate> Tsdb::aggregate(SeriesRef ref,
   return agg;
 }
 
-util::RunningStats Tsdb::current_stats(const DeviceId& device,
-                                       std::int64_t t0_ns, std::int64_t t1_ns,
-                                       const RecordFilter& filter) const {
-  const ReadGuard guard = epochs_.pin();
-  return current_stats(find_series(device), t0_ns, t1_ns, filter);
-}
-
 util::RunningStats Tsdb::current_stats(SeriesRef ref, std::int64_t t0_ns,
                                        std::int64_t t1_ns,
                                        const RecordFilter& filter) const {
@@ -993,12 +957,6 @@ util::RunningStats Tsdb::current_stats(SeriesRef ref, std::int64_t t0_ns,
         [&stats](const StoredRecord& r) { stats.add(r.current_ma()); });
   }
   return stats;
-}
-
-std::map<NetworkId, NetworkUsage> Tsdb::network_breakdown(
-    const DeviceId& device, std::int64_t from_ns) const {
-  const ReadGuard guard = epochs_.pin();
-  return network_breakdown(find_series(device), from_ns);
 }
 
 std::map<NetworkId, NetworkUsage> Tsdb::network_breakdown(
@@ -1035,23 +993,6 @@ std::map<NetworkId, NetworkUsage> Tsdb::network_breakdown(
                                   dequantize(t.energy_q, kEnergyScale)});
   }
   return out;
-}
-
-double Tsdb::total_energy_mwh(const DeviceId& device) const {
-  const ReadGuard guard = epochs_.pin();
-  const SeriesRef ref = find_series(device);
-  if (!ref) {
-    return 0.0;
-  }
-  std::int64_t energy_q = 0;
-  for (const Segment* seg : ref.view->sealed) {
-    energy_q += seg->summary().energy_q_sum;
-  }
-  const HeadChunk& head = *ref.view->head;
-  for (std::uint32_t i = 0; i < ref.head_visible; ++i) {
-    energy_q += head.energies_q[i];
-  }
-  return dequantize(energy_q, kEnergyScale);
 }
 
 }  // namespace emon::store

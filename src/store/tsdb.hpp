@@ -9,8 +9,9 @@
 // inputs and dashboard queries ("energy for device D over [t0, t1)") are all
 // answered from store queries instead of ad-hoc accumulators.
 //
-// Query surface (per device; store/query_engine.hpp fans these out across
-// shards for fleet-wide reads):
+// Query surface: store/query_engine.hpp is the one read path, for one device
+// or the fleet.  It resolves each device to a SeriesRef (lookup() or the
+// shard walk) and runs one of five per-series folds on it:
 //   scan()              time-range scan; materializes only matching records
 //   downsample()        fixed windows: avg/max current, energy sum per window
 //   aggregate()         per-device totals over a range, optionally filtered
@@ -60,12 +61,11 @@
 //     publishes and the old objects retired to an EpochDomain, freed only
 //     after every reader that could hold them has unpinned.
 //   * A reader pins the domain with read_guard() for the duration of one
-//     query.  The DeviceId-keyed query overloads below pin internally; the
-//     SeriesRef-based overloads require the *caller* to hold a guard across
-//     both the ref acquisition and every use (or to be the ingest thread,
-//     which never races itself).  A SeriesRef is a captured snapshot: the
-//     records it exposes are frozen at acquisition ("the cut"), no matter
-//     how much ingest lands afterwards.
+//     query.  The SeriesRef-based folds require the *caller* to hold a
+//     guard across both the ref acquisition and every use (or to be the
+//     ingest thread, which never races itself).  A SeriesRef is a captured
+//     snapshot: the records it exposes are frozen at acquisition ("the
+//     cut"), no matter how much ingest lands afterwards.
 //   * What readers may observe mid-ingest: a consistent per-series prefix —
 //     all sealed segments of the captured view plus the first
 //     `head_visible` records of its open head, which together are exactly
@@ -230,11 +230,11 @@ class Tsdb {
   [[nodiscard]] ReadGuard read_guard() const { return epochs_.pin(); }
 
   /// Opaque handle to one captured series snapshot inside its shard.  A
-  /// fleet query iterating a shard already holds the series — the ref-based
-  /// query overloads below fold it directly instead of re-hashing the
-  /// device id through the public per-device entry points.  Valid while the
-  /// guard it was captured under stays pinned (the ingest thread needs no
-  /// guard); the data it exposes is frozen at capture.
+  /// fleet query iterating a shard already holds the series — the folds
+  /// below take it directly instead of re-hashing the device id through
+  /// lookup().  Valid while the guard it was captured under stays pinned
+  /// (the ingest thread needs no guard); the data it exposes is frozen at
+  /// capture.
   class SeriesRef {
    public:
     SeriesRef() = default;
@@ -265,11 +265,26 @@ class Tsdb {
   [[nodiscard]] bool has_device(const DeviceId& id) const;
   [[nodiscard]] std::vector<DeviceId> devices() const;
 
-  /// All records of `device` with timestamp in [t0, t1), in storage order.
-  [[nodiscard]] std::vector<ConsumptionRecord> scan(
-      const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
-      const RecordFilter& filter = {}) const;
+  /// Resolves a device to its captured series snapshot (falsy ref when
+  /// absent) — one hash + binary search, after which the folds below are
+  /// hash-free.  Caller must hold a read_guard() (the ingest thread is
+  /// exempt).
+  [[nodiscard]] SeriesRef lookup(const DeviceId& id) const;
+  /// Visits every series owned by shard `shard` in sorted device order —
+  /// the fleet engine's all-devices fold: one index walk hands out each
+  /// ref, with no per-device re-hash through lookup().  Pins internally;
+  /// the refs handed to `fn` are valid only during that call.
+  void for_each_series_in_shard(
+      std::size_t shard,
+      const std::function<void(const DeviceId&, SeriesRef)>& fn) const;
 
+  /// The per-series folds QueryEngine runs for each device.  A falsy ref
+  /// folds nothing.  Caller holds the guard the ref was captured under.
+  ///
+  /// All records with timestamp in [t0, t1), in storage order.
+  [[nodiscard]] std::vector<ConsumptionRecord> scan(
+      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
+      const RecordFilter& filter = {}) const;
   /// Splits [t0, t1) into fixed `window_ns` buckets and aggregates each
   /// (records land by timestamp).  Empty windows inside the covered span are
   /// included with count 0.  The range is clamped to the series' observed
@@ -281,60 +296,22 @@ class Tsdb {
   /// cannot bound the allocation: a query that would still materialize more
   /// than 2^20 windows returns empty instead.
   [[nodiscard]] std::vector<WindowAggregate> downsample(
-      const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
+      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
       std::int64_t window_ns, const RecordFilter& filter = {}) const;
-
-  /// Range roll-up over records matching `filter`; under an empty filter,
-  /// sealed segments fully inside the range are answered from their summary
-  /// without decoding (a non-empty filter still prunes by time but must
-  /// decode matching segments).
+  /// Range roll-up over records matching `filter` (nullopt when none
+  /// match); under an empty filter, sealed segments fully inside the range
+  /// are answered from their summary without decoding (a non-empty filter
+  /// still prunes by time but must decode matching segments).
   [[nodiscard]] std::optional<DeviceAggregate> aggregate(
-      const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
+      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;
-
   /// Mean/min/max of current over matching records (dashboard reads).
   [[nodiscard]] util::RunningStats current_stats(
-      const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
+      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;
-
   /// Per-network record/energy subtotals from `from_ns` onward (whole
   /// history by default).  Segments entirely past the bound are answered
   /// from their dictionaries (no column decode); only straddlers decode.
-  [[nodiscard]] std::map<NetworkId, NetworkUsage> network_breakdown(
-      const DeviceId& device, std::int64_t from_ns = INT64_MIN) const;
-
-  /// Whole-history energy total for one device.
-  [[nodiscard]] double total_energy_mwh(const DeviceId& device) const;
-
-  /// Resolves a device to its captured series snapshot (falsy ref when
-  /// absent) — one hash + binary search, after which the ref-based
-  /// overloads below are hash-free.  Caller must hold a read_guard() (the
-  /// ingest thread is exempt).
-  [[nodiscard]] SeriesRef lookup(const DeviceId& id) const;
-  /// Visits every series owned by shard `shard` in sorted device order —
-  /// the fleet engine's all-devices fold: one index walk hands out each
-  /// ref, with no per-device re-hash through lookup().  Pins internally;
-  /// the refs handed to `fn` are valid only during that call.
-  void for_each_series_in_shard(
-      std::size_t shard,
-      const std::function<void(const DeviceId&, SeriesRef)>& fn) const;
-
-  /// Ref-based query overloads — identical results to the DeviceId
-  /// overloads (which delegate here), minus the per-call device hash.
-  /// A falsy ref yields the same answer as an unknown device.  Caller
-  /// holds the guard the ref was captured under.
-  [[nodiscard]] std::vector<ConsumptionRecord> scan(
-      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-      const RecordFilter& filter = {}) const;
-  [[nodiscard]] std::vector<WindowAggregate> downsample(
-      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-      std::int64_t window_ns, const RecordFilter& filter = {}) const;
-  [[nodiscard]] std::optional<DeviceAggregate> aggregate(
-      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-      const RecordFilter& filter = {}) const;
-  [[nodiscard]] util::RunningStats current_stats(
-      SeriesRef ref, std::int64_t t0_ns, std::int64_t t1_ns,
-      const RecordFilter& filter = {}) const;
   [[nodiscard]] std::map<NetworkId, NetworkUsage> network_breakdown(
       SeriesRef ref, std::int64_t from_ns = INT64_MIN) const;
 
@@ -383,7 +360,6 @@ class Tsdb {
     std::atomic<const ShardIndex*> index{nullptr};
   };
 
-  [[nodiscard]] SeriesRef find_series(const DeviceId& id) const;
   [[nodiscard]] static SeriesRef capture(const SeriesHandle& handle,
                                          std::size_t shard_index) noexcept;
   /// Storage-order index range [lo, hi) of sealed segments a query over the

@@ -14,6 +14,7 @@
 #include "core/protocol.hpp"
 #include "core/records.hpp"
 #include "hw/ina219.hpp"
+#include "reference_billing.hpp"
 #include "sim/kernel.hpp"
 #include "util/bytes.hpp"
 
@@ -415,12 +416,26 @@ ConsumptionRecord billing_record(std::uint64_t seq, const NetworkId& network,
   return r;
 }
 
-TEST(Billing, HomeEnergyAtHomeRate) {
-  BillingService billing{"wan-1", Tariff{0.25, 1.15}};
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    billing.ingest(billing_record(i, "wan-1", 100.0));  // 1000 mWh total
+/// A live, store-backed BillingService over its own store, as an
+/// aggregator wires it: every added record is ingested and its device
+/// marked billable.
+struct LiveBilling {
+  explicit LiveBilling(Tariff tariff) : billing{"wan-1", tariff, engine} {}
+  void add(const ConsumptionRecord& r) {
+    db.ingest(r);
+    billing.mark_billable(r.device_id);
   }
-  const auto invoice = billing.invoice_for("dev-1");
+  store::Tsdb db;
+  store::QueryEngine engine{db};
+  BillingService billing;
+};
+
+TEST(Billing, HomeEnergyAtHomeRate) {
+  LiveBilling live{Tariff{0.25, 1.15}};
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    live.add(billing_record(i, "wan-1", 100.0));  // 1000 mWh total
+  }
+  const auto invoice = live.billing.invoice_for("dev-1");
   ASSERT_EQ(invoice.lines.size(), 1u);
   EXPECT_FALSE(invoice.lines[0].roamed);
   EXPECT_NEAR(invoice.total_energy_mwh, 1000.0, 1e-9);
@@ -429,67 +444,109 @@ TEST(Billing, HomeEnergyAtHomeRate) {
 }
 
 TEST(Billing, RoamedEnergySurcharged) {
-  BillingService billing{"wan-1", Tariff{0.25, 2.0}};
-  billing.ingest(billing_record(1, "wan-2", 1000.0));
-  const auto invoice = billing.invoice_for("dev-1");
+  LiveBilling live{Tariff{0.25, 2.0}};
+  live.add(billing_record(1, "wan-2", 1000.0));
+  const auto invoice = live.billing.invoice_for("dev-1");
   ASSERT_EQ(invoice.lines.size(), 1u);
   EXPECT_TRUE(invoice.lines[0].roamed);
   EXPECT_NEAR(invoice.total_cost, 0.25e-3 * 2.0, 1e-12);
 }
 
-TEST(Billing, DuplicateSequencesSkipped) {
-  BillingService billing{"wan-1", Tariff{}};
-  billing.ingest(billing_record(1, "wan-1", 50.0));
-  billing.ingest(billing_record(1, "wan-1", 50.0));  // duplicate
-  EXPECT_EQ(billing.duplicates_skipped(), 1u);
-  EXPECT_NEAR(billing.total_energy_mwh(), 50.0, 1e-12);
-}
-
 TEST(Billing, MultiDeviceMultiNetwork) {
-  BillingService billing{"wan-1", Tariff{}};
+  LiveBilling live{Tariff{}};
   ConsumptionRecord a = billing_record(1, "wan-1", 10.0);
   ConsumptionRecord b = billing_record(1, "wan-2", 20.0);
   b.device_id = "dev-2";
-  billing.ingest(a);
-  billing.ingest(b);
-  EXPECT_EQ(billing.billed_devices().size(), 2u);
-  EXPECT_NEAR(billing.total_energy_mwh(), 30.0, 1e-12);
-  const auto inv2 = billing.invoice_for("dev-2");
+  live.add(a);
+  live.add(b);
+  EXPECT_EQ(live.billing.billed_devices().size(), 2u);
+  EXPECT_NEAR(live.billing.total_energy_mwh(), 30.0, 1e-12);
+  const auto inv2 = live.billing.invoice_for("dev-2");
   EXPECT_EQ(inv2.lines.size(), 1u);
   EXPECT_TRUE(inv2.lines[0].roamed);
 }
 
 TEST(Billing, UnknownDeviceEmptyInvoice) {
-  BillingService billing{"wan-1", Tariff{}};
-  const auto invoice = billing.invoice_for("ghost");
+  LiveBilling live{Tariff{}};
+  const auto invoice = live.billing.invoice_for("ghost");
   EXPECT_TRUE(invoice.lines.empty());
   EXPECT_DOUBLE_EQ(invoice.total_cost, 0.0);
 }
 
-TEST(Billing, IngestLedgerReplays) {
-  BillingService live{"wan-1", Tariff{}};
+TEST(Billing, AuditLedgerMatchesLiveBillingExactly) {
+  // Energies that are not whole quanta: the exact double sum of a line
+  // differs from the store's quantized one, so only the store's own fold
+  // reproduces the live invoice with ==.
+  LiveBilling live{Tariff{}};
+  reference::ReferenceBilling exact{"wan-1", Tariff{}};
   chain::Ledger ledger;
   std::vector<chain::RecordBytes> blob;
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const auto rec = billing_record(i, "wan-1", 5.0);
-    live.ingest(rec);
+  for (std::uint64_t i = 1; i <= 300; ++i) {
+    ConsumptionRecord rec =
+        billing_record(i, i % 3 == 0 ? "wan-2" : "wan-1",
+                       0.0123456789 * static_cast<double>(i % 17 + 1));
+    rec.device_id = i % 2 == 0 ? "dev-1" : "dev-2";
+    live.add(rec);
+    exact.ingest(rec);
     blob.push_back(serialize_record(rec));
+    if (i % 100 == 0) {
+      ledger.append(std::move(blob), static_cast<std::int64_t>(i), "agg-1");
+      blob.clear();
+    }
   }
-  ledger.append(std::move(blob), 100, "agg-1");
 
-  BillingService audit{"wan-1", Tariff{}};
-  audit.ingest_ledger(ledger);
-  EXPECT_NEAR(audit.total_energy_mwh(), live.total_energy_mwh(), 1e-12);
-  EXPECT_EQ(audit.records_ingested(), 6u);
+  const LedgerAudit audit = audit_ledger(ledger, "wan-1", Tariff{});
+  EXPECT_EQ(audit.records, 300u);
+  EXPECT_EQ(audit.duplicates, 0u);
+  EXPECT_EQ(audit.foreign, 0u);
+  const auto invoices = live.billing.invoice_all();
+  ASSERT_EQ(audit.invoices.size(), invoices.size());
+  bool differs_from_exact = false;
+  for (std::size_t d = 0; d < invoices.size(); ++d) {
+    const Invoice& got = audit.invoices[d];
+    const Invoice& want = invoices[d];
+    EXPECT_EQ(got.device_id, want.device_id);
+    ASSERT_EQ(got.lines.size(), want.lines.size()) << want.device_id;
+    for (std::size_t l = 0; l < want.lines.size(); ++l) {
+      EXPECT_EQ(got.lines[l].network, want.lines[l].network);
+      EXPECT_EQ(got.lines[l].records, want.lines[l].records);
+      EXPECT_EQ(got.lines[l].energy_mwh, want.lines[l].energy_mwh);
+      EXPECT_EQ(got.lines[l].cost, want.lines[l].cost);
+    }
+    EXPECT_EQ(got.total_energy_mwh, want.total_energy_mwh);
+    EXPECT_EQ(got.total_cost, want.total_cost);
+    const Invoice reference = exact.invoice_for(want.device_id);
+    EXPECT_NEAR(got.total_energy_mwh, reference.total_energy_mwh,
+                300.0 * store::kEnergyToleranceMwh);
+    differs_from_exact |= got.total_energy_mwh != reference.total_energy_mwh;
+  }
+  EXPECT_TRUE(differs_from_exact);
 }
 
-TEST(Billing, ForeignPayloadSkipped) {
+TEST(Billing, AuditLedgerBillsARepeatedSequenceOnce) {
+  // The same (device, sequence) in two blocks: billed once, counted once
+  // as a duplicate.
+  chain::Ledger ledger;
+  const auto rec = billing_record(1, "wan-1", 50.0);
+  ledger.append({serialize_record(rec)}, 100, "agg-1");
+  ledger.append({serialize_record(rec)}, 200, "agg-2");
+  const LedgerAudit audit = audit_ledger(ledger, "wan-1", Tariff{});
+  EXPECT_EQ(audit.records, 1u);
+  EXPECT_EQ(audit.duplicates, 1u);
+  ASSERT_EQ(audit.invoices.size(), 1u);
+  ASSERT_EQ(audit.invoices[0].lines.size(), 1u);
+  EXPECT_EQ(audit.invoices[0].lines[0].records, 1u);
+  EXPECT_NEAR(audit.total_energy_mwh(), 50.0, 1e-12);
+}
+
+TEST(Billing, AuditLedgerCountsForeignPayloads) {
   chain::Ledger ledger;
   ledger.append({{0x01, 0x02}}, 0, "w");  // not a ConsumptionRecord
-  BillingService audit{"wan-1", Tariff{}};
-  audit.ingest_ledger(ledger);
-  EXPECT_EQ(audit.foreign_records_skipped(), 1u);
-  EXPECT_EQ(audit.records_ingested(), 0u);
+  const LedgerAudit audit = audit_ledger(ledger, "wan-1", Tariff{});
+  EXPECT_EQ(audit.foreign, 1u);
+  EXPECT_EQ(audit.records, 0u);
+  EXPECT_TRUE(audit.invoices.empty());
+  EXPECT_EQ(audit.total_energy_mwh(), 0.0);
 }
 
 }  // namespace

@@ -298,10 +298,18 @@ std::size_t on_chain(Testbed& bed, const DeviceId& device,
   return n;
 }
 
+/// Every record of `device` in `agg`'s store, in storage order.
+std::vector<ConsumptionRecord> stored_records(const Aggregator& agg,
+                                              const DeviceId& device) {
+  store::QuerySpec spec;
+  spec.devices = {device};
+  return agg.query_engine().scan(spec).records;
+}
+
 /// Copies of (device, seq) in `agg`'s store.
 std::size_t in_store(const Aggregator& agg, const DeviceId& device,
                      std::uint64_t seq) {
-  const auto records = agg.tsdb().scan(device, INT64_MIN, INT64_MAX);
+  const auto records = stored_records(agg, device);
   return static_cast<std::size_t>(
       std::count_if(records.begin(), records.end(),
                     [seq](const ConsumptionRecord& r) {
@@ -442,7 +450,7 @@ TEST(IngestDedup, AckCarriesHighestSequenceTheStoreAccepted) {
   publish_report(home, Report{dev, {injected_record(bed, 0, 900011)}});
   EXPECT_EQ(acks.back(), 900012u);
 
-  const auto stored = home.tsdb().scan(dev, INT64_MIN, INT64_MAX);
+  const auto stored = stored_records(home, dev);
   std::uint64_t highest = 0;
   for (const auto& r : stored) {
     highest = std::max(highest, r.sequence);
@@ -487,7 +495,7 @@ TEST(IngestDedup, ReportLostMidDrainOfALongBacklogReachesChainOnce) {
   // The lost report's 256 backlog records came back and were dropped.
   EXPECT_GE(home.tsdb().stats().duplicates_dropped, dups + 256);
   std::map<std::uint64_t, std::size_t> stored;
-  for (const auto& r : home.tsdb().scan(dev, INT64_MIN, INT64_MAX)) {
+  for (const auto& r : stored_records(home, dev)) {
     ++stored[r.sequence];
   }
   std::map<std::uint64_t, std::size_t> ledger;

@@ -101,7 +101,7 @@ TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
 TEST(Figure6, VerificationWindowsMatchAStoreScanOracle) {
   // The Figure 6 run (depart at 60 s, 20 s transit, offline backfill through
   // the visited aggregator).  Every verification window's reported side is
-  // recomputed from a plain Tsdb::scan: each device's mean current over
+  // recomputed from a one-device store scan: each device's mean current over
   // [window_start, window_end), live records drawn at the aggregator's own
   // network only, and only records that had arrived when the window closed
   // (the trace's reported.* and arrival.* series are appended in step, so
@@ -139,9 +139,12 @@ TEST(Figure6, VerificationWindowsMatchAStoreScanOracle) {
       for (const auto& [device, arrivals] : arrival_of) {
         double sum = 0.0;
         std::size_t count = 0;
-        for (const auto& r :
-             agg.tsdb().scan(device, result.window_start.ns(),
-                             result.window_end.ns(), live_here)) {
+        store::QuerySpec spec;
+        spec.devices = {device};
+        spec.t0_ns = result.window_start.ns();
+        spec.t1_ns = result.window_end.ns();
+        spec.filter = live_here;
+        for (const auto& r : agg.query_engine().scan(spec).records) {
           if (arrivals.at(r.timestamp_ns) < result.window_end) {
             sum += r.current_ma;
             ++count;
@@ -249,13 +252,16 @@ TEST(Audit, LedgerReplayMatchesLiveBilling) {
 
   // Replay the shared chain: per-device energy must match the live
   // billing at the respective home aggregators.
-  BillingService audit{"wan-1", Tariff{}};
-  audit.ingest_ledger(bed.chain().ledger());
+  const LedgerAudit audit =
+      audit_ledger(bed.chain().ledger(), "wan-1", Tariff{});
   for (std::size_t i = 0; i < 2; ++i) {  // wan-1 devices
     const DeviceId id = "dev-" + std::to_string(i + 1);
     const auto live = bed.aggregator(0).billing().invoice_for(id);
-    const auto replay = audit.invoice_for(id);
-    EXPECT_NEAR(replay.total_energy_mwh, live.total_energy_mwh,
+    const auto replay = std::find_if(
+        audit.invoices.begin(), audit.invoices.end(),
+        [&id](const Invoice& invoice) { return invoice.device_id == id; });
+    ASSERT_NE(replay, audit.invoices.end()) << id;
+    EXPECT_NEAR(replay->total_energy_mwh, live.total_energy_mwh,
                 0.02 * live.total_energy_mwh + 0.02)
         << id;
   }

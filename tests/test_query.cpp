@@ -23,6 +23,7 @@
 
 #include "core/billing.hpp"
 #include "core/records.hpp"
+#include "reference_billing.hpp"
 #include "store/query_engine.hpp"
 #include "store/tsdb.hpp"
 #include "util/rng.hpp"
@@ -285,8 +286,9 @@ TEST(QueryEngine, MergedAggregateMatchesNaiveDeviceOrderFold) {
   std::uint64_t count = 0;
   double energy = 0.0;
   std::size_t present = 0;
+  const ReadGuard guard = db.read_guard();
   for (const auto& id : devices) {
-    const auto agg = db.aggregate(id, INT64_MIN, INT64_MAX);
+    const auto agg = db.aggregate(db.lookup(id), INT64_MIN, INT64_MAX);
     ASSERT_TRUE(agg.has_value());
     ++present;
     count += agg->count;
@@ -327,8 +329,9 @@ TEST(QueryEngine, ScanIsDeviceOrderedAndSpanned) {
   }
   EXPECT_EQ(expected_offset, got.records.size());
   // Each span reproduces the device's own sequential scan exactly.
+  const ReadGuard guard = db.read_guard();
   for (const auto& span : got.per_device) {
-    const auto want = db.scan(span.device, spec.t0_ns, spec.t1_ns);
+    const auto want = db.scan(db.lookup(span.device), spec.t0_ns, spec.t1_ns);
     ASSERT_EQ(span.count, want.size()) << span.device;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got.records[span.offset + i], want[i]) << span.device;
@@ -406,8 +409,10 @@ TEST(QueryEngine, DeviceSubsetAndT0OverridesMatchSequentialCalls) {
   EXPECT_EQ(got.per_device[0].first, "dev-29");  // sorted lexicographically
   EXPECT_EQ(got.per_device[1].first, "dev-3");
   EXPECT_EQ(got.per_device[2].first, "dev-7");
-  const auto want3 = db.aggregate("dev-3", INT64_MIN, INT64_MAX);
-  const auto want7 = db.aggregate("dev-7", cut, INT64_MAX);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev7 = db.lookup("dev-7");
+  const auto want3 = db.aggregate(db.lookup("dev-3"), INT64_MIN, INT64_MAX);
+  const auto want7 = db.aggregate(dev7, cut, INT64_MAX);
   ASSERT_TRUE(want3 && want7);
   EXPECT_TRUE(got.per_device[1].second == *want3);
   EXPECT_TRUE(got.per_device[2].second == *want7);
@@ -415,7 +420,7 @@ TEST(QueryEngine, DeviceSubsetAndT0OverridesMatchSequentialCalls) {
   const FleetBreakdown nb = engine.network_breakdown(spec);
   ASSERT_EQ(nb.per_device.size(), 3u);
   EXPECT_TRUE(usage_equal(nb.per_device[2].second,
-                          db.network_breakdown("dev-7", cut)));
+                          db.network_breakdown(dev7, cut)));
 }
 
 // ---------------------------------------------------------------------------
@@ -528,15 +533,14 @@ TEST(QueryEngine, PoolJoinsBeforeRethrowingAStrideException) {
 
 TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   Tsdb db{TsdbOptions{8, 64}};
-  core::BillingService exact{"wan-0", core::Tariff{}};
+  reference::ReferenceBilling exact{"wan-0", core::Tariff{}};
   const auto fleet = make_fleet(20, 300, 4, 71);
   for (const auto& r : fleet.arrival_order) {
     db.ingest(r);
     exact.ingest(r);
   }
   const QueryEngine engine{db, QueryEngineOptions{4}};
-  core::BillingService backed{"wan-0", core::Tariff{}};
-  backed.bind_engine(&engine);
+  core::BillingService backed{"wan-0", core::Tariff{}, engine};
   // One billable device's scope mark lies after all of its history (an
   // ownership transfer after its last record): it is billed nothing.
   const core::DeviceId late_mark = fleet.devices.back();
@@ -580,20 +584,20 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
     }
   }
   // Billing-scope marks ride the fleet query as t0 overrides.
-  core::BillingService scoped{"wan-0", core::Tariff{}};
-  scoped.bind_engine(&engine);
+  core::BillingService scoped{"wan-0", core::Tariff{}, engine};
   const std::int64_t cut =
       fleet.t_min_ns + (fleet.t_max_ns - fleet.t_min_ns) / 2;
   scoped.mark_billable("dev-1", cut);
   double want_energy = 0.0;
-  for (const auto& [network, use] : db.network_breakdown("dev-1", cut)) {
+  const ReadGuard guard = db.read_guard();
+  for (const auto& [network, use] :
+       db.network_breakdown(db.lookup("dev-1"), cut)) {
     (void)network;
     want_energy += use.energy_mwh;
   }
   EXPECT_NEAR(scoped.total_energy_mwh(), want_energy, 1e-9);
   // No billable devices: the engine path must not widen to every device.
-  core::BillingService empty{"wan-0", core::Tariff{}};
-  empty.bind_engine(&engine);
+  core::BillingService empty{"wan-0", core::Tariff{}, engine};
   EXPECT_EQ(empty.total_energy_mwh(), 0.0);
   EXPECT_TRUE(empty.invoice_all().empty());
 }

@@ -18,6 +18,8 @@
 
 #include "core/billing.hpp"
 #include "core/records.hpp"
+#include "reference_billing.hpp"
+#include "store/query_engine.hpp"
 #include "store/segment.hpp"
 #include "store/series_store.hpp"
 #include "store/tsdb.hpp"
@@ -692,7 +694,8 @@ TEST(Tsdb, ScanMatchesNaiveRangeFilter) {
   }
   const std::int64_t t0 = records[100].timestamp_ns;
   const std::int64_t t1 = records[400].timestamp_ns;  // exclusive
-  const auto got = db.scan("dev-1", t0, t1);
+  const ReadGuard guard = db.read_guard();
+  const auto got = db.scan(db.lookup("dev-1"), t0, t1);
   std::vector<std::uint64_t> want;
   for (const auto& r : records) {
     if (r.timestamp_ns >= t0 && r.timestamp_ns < t1) {
@@ -715,7 +718,8 @@ TEST(Tsdb, ScanHonorsFilters) {
   store::RecordFilter live_wan1;
   live_wan1.network = "wan-1";
   live_wan1.stored_offline = false;
-  const auto got = db.scan("dev-1", 0, INT64_MAX, live_wan1);
+  const ReadGuard guard = db.read_guard();
+  const auto got = db.scan(db.lookup("dev-1"), 0, INT64_MAX, live_wan1);
   std::size_t want = 0;
   for (const auto& r : records) {
     want += (r.network == "wan-1" && !r.stored_offline) ? 1 : 0;
@@ -736,11 +740,13 @@ TEST(Tsdb, DownsampleMatchesNaiveWindowMath) {
   const std::int64_t t0 = records.front().timestamp_ns;
   const std::int64_t t1 = records.back().timestamp_ns + 1;
   const std::int64_t window = 1'000'000'000;  // 1 s ≈ 10 records
-  const auto windows = db.downsample("dev-1", t0, t1, window);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  const auto windows = db.downsample(dev1, t0, t1, window);
   ASSERT_EQ(windows.size(),
             static_cast<std::size_t>((t1 - t0 + window - 1) / window));
   // Naive reference over the quantization-faithful decoded records.
-  const auto decoded = db.scan("dev-1", t0, t1);
+  const auto decoded = db.scan(dev1, t0, t1);
   for (const auto& w : windows) {
     std::uint64_t count = 0;
     double current_sum = 0.0;
@@ -774,7 +780,9 @@ TEST(Tsdb, DownsampleFullRangeSentinelClampsToObservedBounds) {
     db.ingest(r);
   }
   const std::int64_t window = 1'000'000'000;
-  const auto sentinel = db.downsample("dev-1", INT64_MIN, INT64_MAX, window);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  const auto sentinel = db.downsample(dev1, INT64_MIN, INT64_MAX, window);
   ASSERT_FALSE(sentinel.empty());
   // Same records as the explicit-range query; windows stay modest.
   const std::int64_t t0 = records.front().timestamp_ns;
@@ -787,11 +795,12 @@ TEST(Tsdb, DownsampleFullRangeSentinelClampsToObservedBounds) {
   }
   EXPECT_EQ(sentinel_count, records.size());
   // An empty-range or unknown-device sentinel stays empty (no allocation).
-  EXPECT_TRUE(db.downsample("dev-none", INT64_MIN, INT64_MAX, window).empty());
-  EXPECT_TRUE(db.downsample("dev-1", INT64_MAX, INT64_MIN, window).empty());
+  EXPECT_TRUE(db.downsample(db.lookup("dev-none"), INT64_MIN, INT64_MAX, window)
+                  .empty());
+  EXPECT_TRUE(db.downsample(dev1, INT64_MAX, INT64_MIN, window).empty());
   // One-sided sentinels clamp the open end only.
-  const auto from_min = db.downsample("dev-1", INT64_MIN, t1, window);
-  const auto to_max = db.downsample("dev-1", t0, INT64_MAX, window);
+  const auto from_min = db.downsample(dev1, INT64_MIN, t1, window);
+  const auto to_max = db.downsample(dev1, t0, INT64_MAX, window);
   std::uint64_t from_min_count = 0;
   std::uint64_t to_max_count = 0;
   for (const auto& w : from_min) {
@@ -819,9 +828,13 @@ TEST(Tsdb, DownsampleExtremeTimestampCannotForceHugeAllocation) {
   evil.timestamp_ns = INT64_MAX - 1;
   ASSERT_TRUE(db.ingest(evil));
   // ~9e9 one-second windows would be needed: guarded, not allocated.
-  EXPECT_TRUE(db.downsample("dev-1", INT64_MIN, INT64_MAX, 1'000'000'000)
-                  .empty());
-  EXPECT_TRUE(db.downsample("dev-1", 0, INT64_MAX, 1'000'000'000).empty());
+  {
+    const ReadGuard guard = db.read_guard();
+    const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+    EXPECT_TRUE(db.downsample(dev1, INT64_MIN, INT64_MAX, 1'000'000'000)
+                    .empty());
+    EXPECT_TRUE(db.downsample(dev1, 0, INT64_MAX, 1'000'000'000).empty());
+  }
   // Corrupt clocks at *both* extremes: the span approaches 2^64, where a
   // naive ceil's rounding add would wrap to a tiny window count that
   // passes the cap while records index far past the array.  Must stay
@@ -830,13 +843,16 @@ TEST(Tsdb, DownsampleExtremeTimestampCannotForceHugeAllocation) {
   evil_low.sequence = 999'998;
   evil_low.timestamp_ns = INT64_MIN;
   ASSERT_TRUE(db.ingest(evil_low));
-  EXPECT_TRUE(db.downsample("dev-1", INT64_MIN, INT64_MAX, 1'000'000'000)
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  EXPECT_TRUE(db.downsample(dev1, INT64_MIN, INT64_MAX, 1'000'000'000)
                   .empty());
-  EXPECT_TRUE(db.downsample("dev-1", INT64_MIN, INT64_MAX, 3).empty());
+  EXPECT_TRUE(db.downsample(dev1, INT64_MIN, INT64_MAX, 3).empty());
   // A window sized so the count lands exactly at the cap does allocate —
   // and the window-start arithmetic (t0c near INT64_MIN, giant window)
   // must not overflow int64 (UBSan-pinned).  Starts ascend by one window.
-  const auto giant = db.downsample("dev-1", INT64_MIN, INT64_MAX, INT64_C(1) << 44);
+  const auto giant =
+      db.downsample(dev1, INT64_MIN, INT64_MAX, INT64_C(1) << 44);
   ASSERT_FALSE(giant.empty());
   EXPECT_EQ(giant.front().start_ns, INT64_MIN);
   for (std::size_t i = 1; i < giant.size(); ++i) {
@@ -849,7 +865,7 @@ TEST(Tsdb, DownsampleExtremeTimestampCannotForceHugeAllocation) {
   EXPECT_EQ(giant_count, records.size() + 2);  // both evil records included
   // A sane explicit range on the same series still answers normally.
   const auto windows =
-      db.downsample("dev-1", records.front().timestamp_ns,
+      db.downsample(dev1, records.front().timestamp_ns,
                     records.back().timestamp_ns + 1, 1'000'000'000);
   ASSERT_FALSE(windows.empty());
   std::uint64_t count = 0;
@@ -870,7 +886,9 @@ TEST(Tsdb, DownsampleClampKeepsGridAnchoredAtT0) {
   }
   const std::int64_t window = 1'000'000'000;
   const std::int64_t t0 = records.front().timestamp_ns - window * 5 - 123;
-  const auto windows = db.downsample("dev-1", t0, INT64_MAX, window);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  const auto windows = db.downsample(dev1, t0, INT64_MAX, window);
   ASSERT_FALSE(windows.empty());
   // First window sits on the t0-anchored grid, within one window of the
   // first record, and leading all-empty windows are trimmed.
@@ -878,7 +896,7 @@ TEST(Tsdb, DownsampleClampKeepsGridAnchoredAtT0) {
   EXPECT_LE(windows.front().start_ns, records.front().timestamp_ns);
   EXPECT_GT(windows.front().start_ns + window, records.front().timestamp_ns);
   // In-bounds t0 is untouched: same grid, same counts as before the clamp.
-  const auto exact = db.downsample("dev-1", records.front().timestamp_ns,
+  const auto exact = db.downsample(dev1, records.front().timestamp_ns,
                                    records.back().timestamp_ns + 1, window);
   ASSERT_FALSE(exact.empty());
   EXPECT_EQ(exact.front().start_ns, records.front().timestamp_ns);
@@ -896,9 +914,11 @@ TEST(Tsdb, AggregateFilterOverloadMatchesScanReference) {
   RecordFilter live_wan1;
   live_wan1.network = "wan-1";
   live_wan1.stored_offline = false;
-  const auto agg = db.aggregate("dev-1", INT64_MIN, INT64_MAX, live_wan1);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  const auto agg = db.aggregate(dev1, INT64_MIN, INT64_MAX, live_wan1);
   ASSERT_TRUE(agg.has_value());
-  const auto decoded = db.scan("dev-1", INT64_MIN, INT64_MAX, live_wan1);
+  const auto decoded = db.scan(dev1, INT64_MIN, INT64_MAX, live_wan1);
   ASSERT_FALSE(decoded.empty());
   EXPECT_EQ(agg->count, decoded.size());
   double current_sum = 0.0;
@@ -921,7 +941,7 @@ TEST(Tsdb, AggregateFilterOverloadMatchesScanReference) {
   // A filter matching nothing yields nullopt, not a zero aggregate.
   RecordFilter nothing;
   nothing.network = "wan-none";
-  EXPECT_FALSE(db.aggregate("dev-1", INT64_MIN, INT64_MAX, nothing));
+  EXPECT_FALSE(db.aggregate(dev1, INT64_MIN, INT64_MAX, nothing));
 }
 
 TEST(Tsdb, AggregateKeepsSummaryFastPathOnlyForEmptyFilter) {
@@ -930,17 +950,19 @@ TEST(Tsdb, AggregateKeepsSummaryFastPathOnlyForEmptyFilter) {
   for (const auto& r : records) {
     db.ingest(r);
   }
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
   const auto before = db.stats();
   // Empty filter over the whole history: interior segments answer from
   // summaries.
-  ASSERT_TRUE(db.aggregate("dev-1", INT64_MIN, INT64_MAX, RecordFilter{}));
+  ASSERT_TRUE(db.aggregate(dev1, INT64_MIN, INT64_MAX, RecordFilter{}));
   const auto after_empty = db.stats();
   EXPECT_GT(after_empty.summary_hits, before.summary_hits);
   // A non-empty filter must decode fully-covered segments: summaries hold
   // no per-filter breakdowns, so summary_hits must not move.
   RecordFilter offline_only;
   offline_only.stored_offline = true;
-  ASSERT_TRUE(db.aggregate("dev-1", INT64_MIN, INT64_MAX, offline_only));
+  ASSERT_TRUE(db.aggregate(dev1, INT64_MIN, INT64_MAX, offline_only));
   const auto after_filtered = db.stats();
   EXPECT_EQ(after_filtered.summary_hits, after_empty.summary_hits);
 }
@@ -966,9 +988,10 @@ TEST(Tsdb, QueryCountersAreShardLocalAndFoldOnRead) {
     }
   }
   ASSERT_FALSE(b.empty());
-  const auto t1 = db.aggregate(a, INT64_MIN, INT64_MAX);
+  const ReadGuard guard = db.read_guard();
+  const auto t1 = db.aggregate(db.lookup(a), INT64_MIN, INT64_MAX);
   const std::uint64_t hits_a = db.stats().summary_hits;
-  const auto t2 = db.aggregate(b, INT64_MIN, INT64_MAX);
+  const auto t2 = db.aggregate(db.lookup(b), INT64_MIN, INT64_MAX);
   const std::uint64_t hits_ab = db.stats().summary_hits;
   ASSERT_TRUE(t1 && t2);
   EXPECT_GT(hits_a, 0u);
@@ -982,12 +1005,14 @@ TEST(Tsdb, AggregateSummaryPathAgreesWithDecodePath) {
     db.ingest(r);
   }
   // Whole-history aggregate: interior segments answer from summaries.
-  const auto agg = db.aggregate("dev-1", INT64_MIN, INT64_MAX);
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
+  const auto agg = db.aggregate(dev1, INT64_MIN, INT64_MAX);
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, records.size());
   EXPECT_GT(db.stats().summary_hits, 0u);
   // Decode-path reference.
-  const auto decoded = db.scan("dev-1", INT64_MIN, INT64_MAX);
+  const auto decoded = db.scan(dev1, INT64_MIN, INT64_MAX);
   double current_sum = 0.0;
   double energy = 0.0;
   double min_cur = decoded.front().current_ma;
@@ -1009,10 +1034,10 @@ TEST(Tsdb, AggregateSummaryPathAgreesWithDecodePath) {
 
 TEST(Tsdb, RangeQueryReproducesBillingWithinQuantizationTolerance) {
   // The acceptance bound: energy totals answered by the store match an
-  // exact (double-precision) BillingService accumulation to within the
+  // exact (double-precision) reference billing fold to within the
   // documented per-record quantization tolerance.
   Tsdb db{TsdbOptions{4, 128}};
-  core::BillingService exact{"wan-1", core::Tariff{}};
+  reference::ReferenceBilling exact{"wan-1", core::Tariff{}};
   const auto records = fleet_stream(5, 700, 83);
   for (const auto& r : records) {
     db.ingest(r);
@@ -1024,14 +1049,15 @@ TEST(Tsdb, RangeQueryReproducesBillingWithinQuantizationTolerance) {
     const auto exact_invoice = exact.invoice_for(id);
     const double tolerance = 700.0 * kEnergyToleranceMwh;
     // Whole-history range query.
-    const auto agg = db.aggregate(id, INT64_MIN, INT64_MAX);
-    ASSERT_TRUE(agg.has_value());
-    EXPECT_NEAR(agg->sum_energy_mwh, exact_invoice.total_energy_mwh,
+    QuerySpec one;
+    one.devices = {id};
+    const FleetAggregate agg = engine.aggregate(one);
+    ASSERT_FALSE(agg.empty());
+    EXPECT_NEAR(agg.merged.sum_energy_mwh, exact_invoice.total_energy_mwh,
                 tolerance)
         << id;
     // Store-backed billing sees the same totals.
-    core::BillingService backed{"wan-1", core::Tariff{}};
-    backed.bind_engine(&engine);
+    core::BillingService backed{"wan-1", core::Tariff{}, engine};
     backed.mark_billable(id);
     const auto backed_invoice = backed.invoice_for(id);
     EXPECT_NEAR(backed_invoice.total_energy_mwh,
@@ -1059,25 +1085,28 @@ TEST(Tsdb, NetworkBreakdownHonorsFromBound) {
     db.ingest(r);
   }
   const std::int64_t cut = records[150].timestamp_ns;
-  const auto bounded = db.network_breakdown("dev-1", cut);
+  const QueryEngine engine{db};
+  QuerySpec from_cut;
+  from_cut.devices = {"dev-1"};
+  from_cut.t0_ns = cut;
+  const FleetBreakdown bounded = engine.network_breakdown(from_cut);
+  ASSERT_EQ(bounded.per_device.size(), 1u);
   std::uint64_t want_records = 0;
   double want_energy = 0.0;
-  for (const auto& r : db.scan("dev-1", cut, INT64_MAX)) {
+  for (const auto& r : engine.scan(from_cut).records) {
     ++want_records;
     want_energy += r.energy_mwh;
   }
   std::uint64_t got_records = 0;
   double got_energy = 0.0;
-  for (const auto& [network, use] : bounded) {
+  for (const auto& [network, use] : bounded.per_device.front().second) {
     got_records += use.records;
     got_energy += use.energy_mwh;
   }
   EXPECT_EQ(got_records, want_records);
   EXPECT_NEAR(got_energy, want_energy, 1e-9);
   // Store-backed billing applies the bound through mark_billable.
-  const QueryEngine engine{db};
-  core::BillingService billing{"wan-1", core::Tariff{}};
-  billing.bind_engine(&engine);
+  core::BillingService billing{"wan-1", core::Tariff{}, engine};
   billing.mark_billable("dev-1", cut);
   EXPECT_NEAR(billing.invoice_for("dev-1").total_energy_mwh, got_energy,
               1e-9);
@@ -1102,7 +1131,8 @@ TEST(Tsdb, DedupIsExactOverAnyHistory) {
   // ...and the store held exactly one copy of everything.
   EXPECT_EQ(db.stats().records_ingested, 10'000u);
   EXPECT_EQ(db.stats().duplicates_dropped, 4u);
-  const auto agg = db.aggregate("dev-1", INT64_MIN, INT64_MAX);
+  const ReadGuard guard = db.read_guard();
+  const auto agg = db.aggregate(db.lookup("dev-1"), INT64_MIN, INT64_MAX);
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, 10'000u);
 }
@@ -1143,15 +1173,18 @@ TEST(Tsdb, ShardingIsStableAndCoversAllDevices) {
   }
   EXPECT_EQ(db.devices().size(), 32u);
   EXPECT_EQ(db.shard_count(), 8u);
+  const ReadGuard guard = db.read_guard();
   for (std::size_t d = 1; d <= 32; ++d) {
     const core::DeviceId id = "dev-" + std::to_string(d);
     EXPECT_EQ(db.shard_of(id), db.shard_of(id));  // stable
     EXPECT_TRUE(db.has_device(id));
-    EXPECT_GT(db.total_energy_mwh(id), 0.0);
+    const auto agg = db.aggregate(db.lookup(id), INT64_MIN, INT64_MAX);
+    ASSERT_TRUE(agg.has_value());
+    EXPECT_GT(agg->sum_energy_mwh, 0.0);
   }
   EXPECT_FALSE(db.has_device("dev-999"));
-  EXPECT_EQ(db.total_energy_mwh("dev-999"), 0.0);
-  EXPECT_FALSE(db.aggregate("dev-999", 0, INT64_MAX).has_value());
+  EXPECT_FALSE(db.lookup("dev-999"));
+  EXPECT_FALSE(db.aggregate(db.lookup("dev-999"), 0, INT64_MAX).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -1405,9 +1438,10 @@ std::vector<ConsumptionRecord> fold_workload(std::uint64_t seed,
   return out;
 }
 
-/// Runs every query kind over [t0, t1) (and network_breakdown from t0)
-/// against the naive folds; the first mismatch fails with `label`.
-void expect_query_kinds_match(const Tsdb& db, const DeviceId& device,
+/// Runs every query kind over [t0, t1) (and network_breakdown from t0) on
+/// `device`'s series against the naive folds; the first mismatch fails
+/// with `label`.  The caller holds the guard `device` was looked up under.
+void expect_query_kinds_match(const Tsdb& db, Tsdb::SeriesRef device,
                               const std::vector<StoredInput>& in,
                               std::int64_t t0, std::int64_t t1,
                               const std::vector<RecordFilter>& filters,
@@ -1508,16 +1542,18 @@ TEST(TsdbFold, QueryKindsMatchNaiveFoldOverInputRecords) {
                                 std::max(before, after) + 1);
           }
         }
+        const ReadGuard guard = db.read_guard();
+        const Tsdb::SeriesRef ref = db.lookup(device);
         for (const auto& [t0, t1] : ranges) {
           expect_query_kinds_match(
-              db, device, in, t0, t1, filters,
+              db, ref, in, t0, t1, filters,
               device + " threshold " + std::to_string(threshold));
           if (HasFatalFailure()) {
             return;
           }
         }
         for (const std::int64_t from : {INT64_MIN, t_seal, t_head, t_hi + 1}) {
-          ASSERT_TRUE(same_breakdown(db.network_breakdown(device, from),
+          ASSERT_TRUE(same_breakdown(db.network_breakdown(ref, from),
                                      naive_breakdown(in, from)))
               << device << " threshold " << threshold << " from " << from;
         }
@@ -1551,9 +1587,11 @@ TEST(TsdbFold, HeadSortedPrefixEndsAtAnOutOfOrderRecord) {
       ends.push_back(x.rec.timestamp_ns + d);
     }
   }
+  const ReadGuard guard = db.read_guard();
+  const Tsdb::SeriesRef dev1 = db.lookup("dev-1");
   for (std::size_t i = 0; i < ends.size(); i += 5) {
     for (std::size_t j = 0; j < ends.size(); j += 3) {
-      expect_query_kinds_match(db, "dev-1", in, ends[i], ends[j], filters,
+      expect_query_kinds_match(db, dev1, in, ends[i], ends[j], filters,
                                "head");
       if (HasFatalFailure()) {
         return;
@@ -1561,7 +1599,7 @@ TEST(TsdbFold, HeadSortedPrefixEndsAtAnOutOfOrderRecord) {
     }
   }
   // A scan returns the in-range records in storage order.
-  const auto got = db.scan("dev-1", in[10].rec.timestamp_ns,
+  const auto got = db.scan(dev1, in[10].rec.timestamp_ns,
                            in[60].rec.timestamp_ns);
   std::vector<std::uint64_t> want;
   for (const auto& x : in) {
@@ -1659,7 +1697,8 @@ TEST(TsdbFold, TrailingRangeSkipsBlocksAndCountsDecodeWork) {
   const TsdbStats before = db.stats();
   EXPECT_EQ(before.blocks_skipped, 0u);
   EXPECT_EQ(before.records_decoded, 0u);
-  const auto agg = db.aggregate("dev-1", records[226].timestamp_ns,
+  const ReadGuard guard = db.read_guard();
+  const auto agg = db.aggregate(db.lookup("dev-1"), records[226].timestamp_ns,
                                 records[266].timestamp_ns);
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, 40u);
