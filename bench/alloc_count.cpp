@@ -2,7 +2,7 @@
 //
 // Replays the serve workload's ingest path (Tsdb::ingest + the
 // RollupEngine hook — the EMON_HOT functions tools/emon_lint.py polices)
-// through util/alloc_probe.hpp's counting operator new, in three phases:
+// through util/alloc_probe.hpp's counting operator new, in four phases:
 //
 //   cold     the first record of every device: series creation, chunk and
 //            dedup-run setup, rollup series/net-pane layout.  Allocations
@@ -13,6 +13,10 @@
 //            contract covers.  HARD GATE: zero operator-new calls, same
 //            bar as tests/test_hot_alloc.cpp — plus the duplicate-drop
 //            path re-ingesting one stale record per device, also zero.
+//   seal     further records until every device's head reaches the seal
+//            threshold (TsdbOptions' default, 256) and seals once.
+//            RECORDED-ONLY (no gate): operator-new calls per Tsdb seal —
+//            encoding the head chunk, the successor view and a fresh chunk.
 //
 // Writes BENCH_alloc.json (allocs per phase, per record, gate verdicts),
 // which CI uploads as an artifact; exits 1 if a gate fails.
@@ -20,7 +24,8 @@
 // Flags: --devices N   (default 2000)
 //        --networks N  (default 8)
 //        --warmup N    records per device before measuring (default 160)
-//        --measure N   measured records per device (default 64)
+//        --measure N   measured records per device (default 64); warmup +
+//                      measure must stay below the seal threshold
 //        --shards N    Tsdb shards (default 4)
 //        --out FILE    (default BENCH_alloc.json)
 
@@ -115,7 +120,12 @@ int main(int argc, char** argv) {
 
   store::TsdbOptions opt;
   opt.shards = shards;
-  opt.seal_threshold = 1u << 20;  // no seals inside the measured window
+  const std::uint64_t seal_at = opt.seal_threshold;
+  if (warmup + measure >= seal_at) {
+    std::cerr << "warmup + measure must stay below the seal threshold ("
+              << seal_at << ")\n";
+    return 2;
+  }
   store::Tsdb tsdb(opt);
   store::RollupEngine rollups(tsdb);
   tsdb.set_ingest_hook(&rollups);
@@ -143,6 +153,9 @@ int main(int argc, char** argv) {
     (void)tsdb.ingest(r);
   }
   const std::uint64_t dup_allocs = AllocProbe::disarm();
+  // Seal phase: every device's head fills up and seals exactly once.
+  const std::uint64_t seal_allocs = measured_rounds(
+      tsdb, devices, networks, warmup + measure + 1, seal_at);
   const double wall_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -153,11 +166,13 @@ int main(int argc, char** argv) {
   const double steady_per_record = static_cast<double>(steady_allocs) /
                                    static_cast<double>(steady_records);
   const store::TsdbStats stats = tsdb.stats();
+  const double seal_per_seal = static_cast<double>(seal_allocs) /
+                               static_cast<double>(stats.segments_sealed);
   const bool steady_ok = steady_allocs == 0;
   const bool dup_ok = dup_allocs == 0;
-  const bool counts_ok =
-      stats.records_ingested == devices * (warmup + measure) &&
-      stats.duplicates_dropped == devices;
+  const bool counts_ok = stats.records_ingested == devices * seal_at &&
+                         stats.duplicates_dropped == devices &&
+                         stats.segments_sealed == devices;
 
   std::cout << "alloc_count: " << devices << " devices, " << warmup
             << " warmup + " << measure << " measured records/device\n"
@@ -168,7 +183,10 @@ int main(int argc, char** argv) {
             << steady_records << " records (" << steady_per_record
             << " per record)\n"
             << "  dup:    " << dup_allocs << " allocs over " << devices
-            << " duplicate drops\n";
+            << " duplicate drops\n"
+            << "  seal:   " << seal_allocs << " allocs over "
+            << stats.segments_sealed << " seals (" << seal_per_seal
+            << " per seal; recorded-only, no gate)\n";
 
   std::ofstream json(out_path);
   json << "{\n"
@@ -183,6 +201,10 @@ int main(int argc, char** argv) {
        << ", \"steady_records\": " << steady_records
        << ", \"steady_allocs_per_record\": " << steady_per_record
        << ", \"dup_allocs\": " << dup_allocs << ",\n"
+       << "  \"seal_allocs\": " << seal_allocs
+       << ", \"seals\": " << stats.segments_sealed
+       << ", \"seal_allocs_per_seal\": " << seal_per_seal
+       << ", \"seal_gate\": \"recorded-only\",\n"
        << "  \"wall_secs\": " << wall_secs
        << ", \"steady_zero_alloc\": " << (steady_ok ? "true" : "false")
        << ", \"dup_zero_alloc\": " << (dup_ok ? "true" : "false")

@@ -6,9 +6,8 @@
 //     are emitted verbatim.  Histograms expand to `<name>_count`,
 //     `<name>_sum`, min/max gauges and quantile series
 //     (`name{quantile="0.5"}` etc.), merging quantile into existing labels.
-//   * write_json: one object with "counters"/"gauges"/"histograms" maps —
-//     the same long-form style as Trace::write_json, so bench artifacts
-//     (BENCH_obs.json) embed snapshots directly.
+//   * write_json: one object with "counters"/"gauges"/"histograms" maps,
+//     so bench artifacts (BENCH_obs.json) embed snapshots directly.
 
 #include <iosfwd>
 

@@ -192,25 +192,6 @@ void Trace::write_csv(std::ostream& out) const {
   }
 }
 
-void Trace::write_json(std::ostream& out) const {
-  const auto all = sorted_series();
-  out << "[";
-  bool first = true;
-  for (const Series* s : all) {
-    for (const auto& p : s->points) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"time_s\":" << p.time.to_seconds() << ",\"series\":\"";
-      for (const char c : s->name) {
-        if (c == '"' || c == '\\') out << '\\';
-        out << c;
-      }
-      out << "\",\"value\":" << p.value << '}';
-    }
-  }
-  out << "]";
-}
-
 void Trace::clear() noexcept {
   series_.clear();
   index_.clear();

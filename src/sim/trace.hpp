@@ -94,17 +94,10 @@ class Trace {
   [[nodiscard]] double mean_in(std::string_view series, SimTime from,
                                SimTime to) const;
 
-  // Long-format dump schema (shared by both writers): one row/object per
-  // point, series in sorted name order, points in append order within a
-  // series.  Fields: time_s (sim time, seconds, double), series (name
-  // string), value (double).
-  //
-  /// Writes "time_s,series,value" rows for all series (long format).
+  /// Writes "time_s,series,value" rows for all series (long format): one
+  /// row per point, series in sorted name order, points in append order
+  /// within a series; time_s is sim time in seconds.
   void write_csv(std::ostream& out) const;
-  /// Writes the same long format as JSON: an array of
-  /// {"time_s":..,"series":"..","value":..} objects — the bench-artifact
-  /// style shared with the obs metrics exporters (BENCH_obs.json).
-  void write_json(std::ostream& out) const;
 
   void clear() noexcept;
 

@@ -220,99 +220,83 @@ std::optional<ConsumptionRecord> SegmentCursor::next() {
 }
 
 // ---------------------------------------------------------------------------
-// Builder
+// Open columns
 // ---------------------------------------------------------------------------
 
-void SegmentBuilder::append(const ConsumptionRecord& record) {
-  if (empty()) {
-    device_ = record.device_id;
-  }
-  timestamps_.push_back(record.timestamp_ns);
-  sequences_.push_back(record.sequence);
-  intervals_.push_back(record.interval_ns);
-  currents_q_.push_back(quantize(record.current_ma, kCurrentScale));
-  voltages_q_.push_back(quantize(record.bus_voltage_mv, kVoltageScale));
-  energies_q_.push_back(quantize(record.energy_mwh, kEnergyScale));
+ColumnChunk::ColumnChunk(std::uint32_t capacity, std::uint32_t dict_capacity)
+    : capacity_(capacity),
+      dict_capacity_(dict_capacity),
+      timestamps_(new std::int64_t[capacity]),
+      sequences_(new std::uint64_t[capacity]),
+      intervals_(new std::int64_t[capacity]),
+      currents_q_(new std::int64_t[capacity]),
+      voltages_q_(new std::int64_t[capacity]),
+      energies_q_(new std::int64_t[capacity]),
+      network_ids_(new std::uint32_t[capacity]),
+      flags_(new std::uint8_t[capacity]),
+      dict_(new NetworkId[dict_capacity]) {}
 
-  std::uint32_t net_id = 0;
-  const auto it =
-      std::find(dictionary_.begin(), dictionary_.end(), record.network);
-  if (it == dictionary_.end()) {
-    net_id = static_cast<std::uint32_t>(dictionary_.size());
-    dictionary_.push_back(record.network);
-  } else {
-    net_id = static_cast<std::uint32_t>(it - dictionary_.begin());
-  }
-  network_ids_.push_back(net_id);
-
-  std::uint8_t flags = 0;
-  if (record.membership == core::MembershipKind::kTemporary) {
-    flags |= kFlagTemporary;
-  }
-  if (record.stored_offline) {
-    flags |= kFlagOffline;
-  }
-  flags_.push_back(flags);
+ColumnChunk::ColumnChunk(const ColumnChunk& from, std::uint32_t n,
+                         std::uint32_t network, std::uint32_t dict_size,
+                         std::uint32_t max_capacity)
+    : ColumnChunk(
+          n == from.capacity_
+              ? std::min(std::max(1u, from.capacity_ * 2), max_capacity)
+              : from.capacity_,
+          network == dict_size && dict_size == from.dict_capacity_
+              ? std::max(1u, from.dict_capacity_ * 2)
+              : from.dict_capacity_) {
+  std::copy_n(from.timestamps_.get(), n, timestamps_.get());
+  std::copy_n(from.sequences_.get(), n, sequences_.get());
+  std::copy_n(from.intervals_.get(), n, intervals_.get());
+  std::copy_n(from.currents_q_.get(), n, currents_q_.get());
+  std::copy_n(from.voltages_q_.get(), n, voltages_q_.get());
+  std::copy_n(from.energies_q_.get(), n, energies_q_.get());
+  std::copy_n(from.network_ids_.get(), n, network_ids_.get());
+  std::copy_n(from.flags_.get(), n, flags_.get());
+  std::copy_n(from.dict_.get(), dict_size, dict_.get());
 }
 
-SegmentSummary SegmentBuilder::summary() const {
+SegmentSummary ColumnChunk::summary(std::uint32_t n,
+                                    std::uint32_t dict_size) const {
   SegmentSummary s;
-  s.count = count();
-  if (empty()) {
+  s.count = n;
+  if (n == 0) {
     return s;
   }
-  s.t_min_ns = *std::min_element(timestamps_.begin(), timestamps_.end());
-  s.t_max_ns = *std::max_element(timestamps_.begin(), timestamps_.end());
-  s.seq_min = *std::min_element(sequences_.begin(), sequences_.end());
-  s.seq_max = *std::max_element(sequences_.begin(), sequences_.end());
-  s.current_q_min = *std::min_element(currents_q_.begin(), currents_q_.end());
-  s.current_q_max = *std::max_element(currents_q_.begin(), currents_q_.end());
-  s.voltage_q_min = *std::min_element(voltages_q_.begin(), voltages_q_.end());
-  s.voltage_q_max = *std::max_element(voltages_q_.begin(), voltages_q_.end());
-  for (const auto q : currents_q_) {
-    s.current_q_sum += q;
+  const auto [t_min, t_max] =
+      std::ranges::minmax(std::span(timestamps_.get(), n));
+  const auto [seq_min, seq_max] =
+      std::ranges::minmax(std::span(sequences_.get(), n));
+  const auto [cur_min, cur_max] =
+      std::ranges::minmax(std::span(currents_q_.get(), n));
+  const auto [volt_min, volt_max] =
+      std::ranges::minmax(std::span(voltages_q_.get(), n));
+  s.t_min_ns = t_min;
+  s.t_max_ns = t_max;
+  s.seq_min = seq_min;
+  s.seq_max = seq_max;
+  s.current_q_min = cur_min;
+  s.current_q_max = cur_max;
+  s.voltage_q_min = volt_min;
+  s.voltage_q_max = volt_max;
+  s.networks.resize(dict_size);
+  for (std::uint32_t j = 0; j < dict_size; ++j) {
+    s.networks[j].network = dict_[j];
   }
-  for (const auto q : energies_q_) {
-    s.energy_q_sum += q;
-  }
-  s.networks.resize(dictionary_.size());
-  for (std::size_t i = 0; i < dictionary_.size(); ++i) {
-    s.networks[i].network = dictionary_[i];
-  }
-  for (std::size_t i = 0; i < network_ids_.size(); ++i) {
-    auto& sub = s.networks[network_ids_[i]];
+  for (std::uint32_t i = 0; i < n; ++i) {
+    s.current_q_sum += currents_q_[i];
+    s.energy_q_sum += energies_q_[i];
+    NetworkSubtotal& sub = s.networks[network_ids_[i]];
     sub.records += 1;
     sub.energy_q_sum += energies_q_[i];
   }
   return s;
 }
 
-std::size_t SegmentBuilder::open_bytes() const noexcept {
-  // Six 8-byte columns, a 4-byte dictionary id and a flags byte per record,
-  // plus the dictionary strings.
-  std::size_t bytes = count() * (6 * 8 + 4 + 1) + device_.size();
-  for (const auto& name : dictionary_) {
-    bytes += name.size();
-  }
-  return bytes;
-}
-
-ConsumptionRecord SegmentBuilder::record_at(std::size_t i) const {
-  StoredRecord rec;
-  rec.timestamp_ns = timestamps_[i];
-  rec.current_q = currents_q_[i];
-  rec.energy_q = energies_q_[i];
-  rec.network = &dictionary_[network_ids_[i]];
-  rec.flags = flags_[i];
-  rec.sequence = sequences_[i];
-  rec.interval_ns = intervals_[i];
-  rec.voltage_q = voltages_q_[i];
-  return rec.materialize(device_);
-}
-
-Segment SegmentBuilder::seal() {
-  const SegmentSummary s = summary();
-  const std::size_t n = timestamps_.size();
+Segment ColumnChunk::seal(const DeviceId& device, std::uint32_t n,
+                          std::uint32_t dict_size) const {
+  const SegmentSummary s = summary(n, dict_size);
 
   util::ByteWriter cols[Segment::kColumnCount];
   std::int64_t prev_ts = 0;
@@ -326,6 +310,8 @@ Segment SegmentBuilder::seal() {
   std::int64_t prev_block_t_min = s.t_min_ns;
   std::int64_t block_t_min = 0;
   std::int64_t block_t_max = 0;
+  // Every difference wraps, as the decoder's adds do: any int64 clock and
+  // any quantized value round-trips.
   for (std::size_t i = 0; i < n; ++i) {
     if (i % kRestartBlock == 0) {
       if (i != 0) {
@@ -347,32 +333,27 @@ Segment SegmentBuilder::seal() {
       block_t_min = std::min(block_t_min, timestamps_[i]);
       block_t_max = std::max(block_t_max, timestamps_[i]);
     }
-    // Timestamps: raw, delta, then delta-of-delta.
-    if (i == 0) {
-      cols[Segment::kColTimestamps].zigzag(timestamps_[0]);
-    } else {
-      const std::int64_t delta = timestamps_[i] - prev_ts;
-      cols[Segment::kColTimestamps].zigzag(i == 1 ? delta
-                                                  : delta - prev_ts_delta);
-      prev_ts_delta = delta;
-    }
+    // Timestamps: raw, delta, then delta-of-delta (record 1's delta is
+    // taken off a zero delta).  The other value columns: raw, then deltas.
+    const std::int64_t delta =
+        i == 0 ? 0 : wrapping_sub(timestamps_[i], prev_ts);
+    cols[Segment::kColTimestamps].zigzag(
+        i == 0 ? timestamps_[0] : wrapping_sub(delta, prev_ts_delta));
+    prev_ts_delta = delta;
     prev_ts = timestamps_[i];
-
+    const auto change = [i](const auto& column) {
+      return i == 0 ? column[0] : wrapping_sub(column[i], column[i - 1]);
+    };
     if (i == 0) {
       cols[Segment::kColSequences].varint(sequences_[0]);
-      cols[Segment::kColIntervals].zigzag(intervals_[0]);
-      cols[Segment::kColCurrents].zigzag(currents_q_[0]);
-      cols[Segment::kColVoltages].zigzag(voltages_q_[0]);
-      cols[Segment::kColEnergies].zigzag(energies_q_[0]);
     } else {
       cols[Segment::kColSequences].zigzag(
-          static_cast<std::int64_t>(sequences_[i]) -
-          static_cast<std::int64_t>(sequences_[i - 1]));
-      cols[Segment::kColIntervals].zigzag(intervals_[i] - intervals_[i - 1]);
-      cols[Segment::kColCurrents].zigzag(currents_q_[i] - currents_q_[i - 1]);
-      cols[Segment::kColVoltages].zigzag(voltages_q_[i] - voltages_q_[i - 1]);
-      cols[Segment::kColEnergies].zigzag(energies_q_[i] - energies_q_[i - 1]);
+          static_cast<std::int64_t>(sequences_[i] - sequences_[i - 1]));
     }
+    cols[Segment::kColIntervals].zigzag(change(intervals_));
+    cols[Segment::kColCurrents].zigzag(change(currents_q_));
+    cols[Segment::kColVoltages].zigzag(change(voltages_q_));
+    cols[Segment::kColEnergies].zigzag(change(energies_q_));
     cols[Segment::kColNetworks].varint(network_ids_[i]);
     if (i % kRestartBlock == kRestartBlock - 1 || i + 1 == n) {
       bounds.zigzag(wrapping_sub(block_t_min, prev_block_t_min));
@@ -393,7 +374,7 @@ Segment SegmentBuilder::seal() {
   util::ByteWriter w;
   w.u32(kSegmentMagic);
   w.u8(kSegmentVersion);
-  w.str(device_);
+  w.str(device);
   w.varint(s.count);
   w.zigzag(s.t_min_ns);
   w.zigzag(s.t_max_ns);
@@ -405,7 +386,7 @@ Segment SegmentBuilder::seal() {
   w.zigzag(s.voltage_q_min);
   w.zigzag(s.voltage_q_max);
   w.zigzag(s.energy_q_sum);
-  w.varint(dictionary_.size());
+  w.varint(dict_size);
   for (const auto& sub : s.networks) {
     w.str(sub.network);
     w.varint(sub.records);
@@ -413,9 +394,9 @@ Segment SegmentBuilder::seal() {
   }
   w.u8(Segment::kColumnCount);
   Segment seg;
-  seg.device_ = device_;
+  seg.device_ = device;
   seg.summary_ = s;
-  seg.dictionary_ = dictionary_;
+  seg.dictionary_.assign(dict_.get(), dict_.get() + dict_size);
   // The final size is known now: reserve it, so the sealed bytes carry no
   // growth slack for the store's lifetime.
   std::size_t total = w.size();
@@ -432,31 +413,51 @@ Segment SegmentBuilder::seal() {
   }
   seg.bytes_ = w.take();
   seg.restarts_ = restart_index(kRestartBlock, bounds, restarts);
+  return seg;
+}
+
+void SegmentBuilder::append(const ConsumptionRecord& record) {
+  if (count_ == 0) {
+    device_ = record.device_id;
+  }
+  const std::uint32_t network = chunk_.find(record.network, dict_size_);
+  if (chunk_.full(count_, network, dict_size_)) {
+    chunk_ = ColumnChunk(chunk_, count_, network, dict_size_, UINT32_MAX);
+  }
+  chunk_.put(count_, record, network, dict_size_);
+  ++count_;
+}
+
+std::size_t SegmentBuilder::open_bytes() const noexcept {
+  // Six 8-byte columns, a 4-byte dictionary id and a flags byte per record,
+  // plus the dictionary strings.
+  std::size_t bytes = count() * (6 * 8 + 4 + 1) + device_.size();
+  for (const auto& name : chunk_.dictionary(dict_size_)) {
+    bytes += name.size();
+  }
+  return bytes;
+}
+
+Segment SegmentBuilder::seal() {
+  Segment seg = chunk_.seal(device_, count_, dict_size_);
   clear();
   return seg;
 }
 
 std::vector<ConsumptionRecord> SegmentBuilder::drain() {
   std::vector<ConsumptionRecord> out;
-  out.reserve(timestamps_.size());
-  for (std::size_t i = 0; i < timestamps_.size(); ++i) {
-    out.push_back(record_at(i));
+  out.reserve(count_);
+  for (std::uint32_t i = 0; i < count_; ++i) {
+    out.push_back(chunk_.stored<columns::kAll>(i).materialize(device_));
   }
   clear();
   return out;
 }
 
-void SegmentBuilder::clear() {
+void SegmentBuilder::clear() noexcept {
   device_.clear();
-  timestamps_.clear();
-  sequences_.clear();
-  intervals_.clear();
-  currents_q_.clear();
-  voltages_q_.clear();
-  energies_q_.clear();
-  network_ids_.clear();
-  dictionary_.clear();
-  flags_.clear();
+  count_ = 0;
+  dict_size_ = 0;
 }
 
 }  // namespace emon::store

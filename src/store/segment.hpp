@@ -38,7 +38,7 @@
 // case of the same decoder.
 //
 // Restart index.  A range fold decodes only the blocks its range touches.
-// `SegmentBuilder::seal` cuts the records into blocks of kRestartBlock and,
+// `ColumnChunk::seal` cuts the records into blocks of kRestartBlock and,
 // in the same encode pass, records per block its [t_min, t_max] and a
 // restart point: each varint column's byte offset at the block's first
 // record and the running delta state the encoder holds there.  The index is
@@ -62,6 +62,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -88,9 +89,9 @@ inline constexpr double kCurrentToleranceMa = 0.5 / kCurrentScale;
 inline constexpr double kVoltageToleranceMv = 0.5 / kVoltageScale;
 inline constexpr double kEnergyToleranceMwh = 0.5 / kEnergyScale;
 
-/// Inline: both the segment builder's append and the rollup engine's
-/// per-record pane fold quantize on their hot paths — and they must agree
-/// bit-for-bit, which one shared definition guarantees.
+/// Inline: both ColumnChunk::put and the rollup engine's per-record pane
+/// fold quantize on their hot paths — and they must agree bit-for-bit,
+/// which one shared definition guarantees.
 [[nodiscard]] inline std::int64_t quantize(double value, double scale) noexcept {
   return std::llround(value * scale);
 }
@@ -100,8 +101,8 @@ inline constexpr double kEnergyToleranceMwh = 0.5 / kEnergyScale;
 
 // -- Stored record form ----------------------------------------------------------
 
-/// Per-record flag bits, shared by the sealed flags column and the Tsdb's
-/// open head chunk.
+/// Per-record flag bits, shared by the sealed flags column and the open
+/// ColumnChunk.
 inline constexpr std::uint8_t kFlagTemporary = 0x1;
 inline constexpr std::uint8_t kFlagOffline = 0x2;
 
@@ -320,7 +321,7 @@ class Segment {
   [[nodiscard]] std::vector<ConsumptionRecord> decode_all() const;
 
  private:
-  friend class SegmentBuilder;
+  friend class ColumnChunk;
   template <unsigned Columns>
   friend class SegmentDecoder;
   Segment() = default;
@@ -710,31 +711,136 @@ class SegmentCursor {
   std::optional<SegmentError> error_;
 };
 
-// -- Builder ---------------------------------------------------------------------
+// -- Open columns ----------------------------------------------------------------
 
-/// Append-only open head of a series.  Records are quantized on append (so
-/// the open head and sealed segments agree bit-for-bit on stored values) and
-/// kept in columnar arrays until `seal()` encodes them.
+/// A fixed-capacity block of quantized columns: the one open-head layout,
+/// used by the Tsdb's head chunk (store/tsdb.cpp) and by SegmentBuilder.
+/// put() stores each record in the form a sealed segment holds (so the open
+/// head and the sealed segments agree bit-for-bit) and seal() encodes the
+/// first n rows.  The fill counts live with the owner, which passes them in;
+/// rows and dictionary slots below them are never rewritten.
+class ColumnChunk {
+ public:
+  ColumnChunk() = default;  // capacity 0, nothing allocated
+  ColumnChunk(std::uint32_t capacity, std::uint32_t dict_capacity);
+  /// The growth copy: `from`'s first `n` rows and `dict_size` names, with
+  /// room for row n and its dictionary index `network` — a full row
+  /// capacity doubles (up to `max_capacity`), and so does a full dictionary
+  /// when the name is new.
+  ColumnChunk(const ColumnChunk& from, std::uint32_t n, std::uint32_t network,
+              std::uint32_t dict_size, std::uint32_t max_capacity);
+
+  /// Dictionary index of `network` among the first `dict_size` names
+  /// (first-seen order), or `dict_size` when it is new.
+  [[nodiscard]] std::uint32_t find(const NetworkId& network,
+                                   std::uint32_t dict_size) const noexcept {
+    for (std::uint32_t j = 0; j < dict_size; ++j) {
+      if (dict_[j] == network) {
+        return j;
+      }
+    }
+    return dict_size;
+  }
+  /// True when row n with dictionary index `network` needs the growth copy.
+  [[nodiscard]] bool full(std::uint32_t n, std::uint32_t network,
+                          std::uint32_t dict_size) const noexcept {
+    return n == capacity_ ||
+           (network == dict_size && dict_size == dict_capacity_);
+  }
+
+  /// Writes `record` as row i with dictionary index `network` (from
+  /// find()); a new name goes into its slot first and counts in
+  /// `dict_size`.  The one record-to-columns writer.
+  void put(std::uint32_t i, const ConsumptionRecord& record,
+           std::uint32_t network, std::uint32_t& dict_size) {
+    if (network == dict_size) {
+      dict_[network] = record.network;
+      ++dict_size;
+    }
+    timestamps_[i] = record.timestamp_ns;
+    sequences_[i] = record.sequence;
+    intervals_[i] = record.interval_ns;
+    currents_q_[i] = quantize(record.current_ma, kCurrentScale);
+    voltages_q_[i] = quantize(record.bus_voltage_mv, kVoltageScale);
+    energies_q_[i] = quantize(record.energy_mwh, kEnergyScale);
+    network_ids_[i] = network;
+    flags_[i] = static_cast<std::uint8_t>(
+        (record.membership == core::MembershipKind::kTemporary
+             ? kFlagTemporary
+             : 0) |
+        (record.stored_offline ? kFlagOffline : 0));
+  }
+
+  /// Row i in stored form, filling timestamp, current, energy and the
+  /// `Columns` mask.  Reads the dictionary only as a pointer offset, never
+  /// the slot itself.
+  template <unsigned Columns>
+  [[nodiscard]] StoredRecord stored(std::uint32_t i) const noexcept {
+    StoredRecord rec;
+    rec.timestamp_ns = timestamps_[i];
+    rec.current_q = currents_q_[i];
+    rec.energy_q = energies_q_[i];
+    if constexpr ((Columns & columns::kNetwork) != 0) {
+      rec.network = dict_.get() + network_ids_[i];
+    }
+    if constexpr ((Columns & columns::kFlags) != 0) {
+      rec.flags = flags_[i];
+    }
+    if constexpr ((Columns & columns::kRest) != 0) {
+      rec.sequence = sequences_[i];
+      rec.interval_ns = intervals_[i];
+      rec.voltage_q = voltages_q_[i];
+    }
+    return rec;
+  }
+  [[nodiscard]] const std::int64_t* timestamps() const noexcept {
+    return timestamps_.get();
+  }
+  [[nodiscard]] std::span<const NetworkId> dictionary(
+      std::uint32_t dict_size) const noexcept {
+    return {dict_.get(), dict_size};
+  }
+
+  /// Summary of the first `n` rows (same shape as a sealed segment's).
+  [[nodiscard]] SegmentSummary summary(std::uint32_t n,
+                                       std::uint32_t dict_size) const;
+  /// Encodes the first `n` rows into a sealed Segment of `device`.
+  [[nodiscard]] Segment seal(const DeviceId& device, std::uint32_t n,
+                             std::uint32_t dict_size) const;
+
+ private:
+  std::uint32_t capacity_ = 0;
+  std::uint32_t dict_capacity_ = 0;
+  std::unique_ptr<std::int64_t[]> timestamps_;
+  std::unique_ptr<std::uint64_t[]> sequences_;
+  std::unique_ptr<std::int64_t[]> intervals_;
+  std::unique_ptr<std::int64_t[]> currents_q_;
+  std::unique_ptr<std::int64_t[]> voltages_q_;
+  std::unique_ptr<std::int64_t[]> energies_q_;
+  std::unique_ptr<std::uint32_t[]> network_ids_;
+  std::unique_ptr<std::uint8_t[]> flags_;  // kFlagTemporary | kFlagOffline
+  std::unique_ptr<NetworkId[]> dict_;
+};
+
+/// Append-only open head of a series on one thread: a ColumnChunk grown by
+/// doubling, plus its fill.
 class SegmentBuilder {
  public:
   SegmentBuilder() = default;
 
   void append(const ConsumptionRecord& record);
 
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return static_cast<std::uint64_t>(timestamps_.size());
-  }
-  [[nodiscard]] bool empty() const noexcept { return timestamps_.empty(); }
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] const DeviceId& device() const noexcept { return device_; }
   /// Summary over the records appended so far (same shape as a sealed
   /// segment's, so queries treat the head uniformly).
-  [[nodiscard]] SegmentSummary summary() const;
+  [[nodiscard]] SegmentSummary summary() const {
+    return chunk_.summary(count_, dict_size_);
+  }
   /// In-memory footprint of the open columns (the byte-budget contribution
   /// of the head before it compresses).
   [[nodiscard]] std::size_t open_bytes() const noexcept;
-
-  /// Reconstructs the i-th appended record (dequantized values).
-  [[nodiscard]] ConsumptionRecord record_at(std::size_t i) const;
 
   /// Encodes the columns into a sealed Segment and resets the builder.
   [[nodiscard]] Segment seal();
@@ -742,19 +848,14 @@ class SegmentBuilder {
   /// Returns all appended records (dequantized) and resets the builder.
   [[nodiscard]] std::vector<ConsumptionRecord> drain();
 
-  void clear();
+  /// Empties the builder; the chunk keeps its capacity.
+  void clear() noexcept;
 
  private:
   DeviceId device_;
-  std::vector<std::int64_t> timestamps_;
-  std::vector<std::uint64_t> sequences_;
-  std::vector<std::int64_t> intervals_;
-  std::vector<std::int64_t> currents_q_;
-  std::vector<std::int64_t> voltages_q_;
-  std::vector<std::int64_t> energies_q_;
-  std::vector<std::uint32_t> network_ids_;
-  std::vector<NetworkId> dictionary_;
-  std::vector<std::uint8_t> flags_;  // bit0 temporary-membership, bit1 offline
+  ColumnChunk chunk_;
+  std::uint32_t count_ = 0;
+  std::uint32_t dict_size_ = 0;
 };
 
 }  // namespace emon::store

@@ -41,82 +41,24 @@ std::size_t fnv1a(const std::string& s) noexcept {
 // only grows) — see the threading contract in tsdb.hpp / store/mvcc.hpp.
 // ---------------------------------------------------------------------------
 
-/// Open head of one series: pre-sized columnar arrays the single writer
-/// appends into, plus a release-published record count.  A reader works
-/// against the count it acquired at capture; column slots below that count
-/// were fully written before the count store, so release/acquire on `count`
-/// is the only synchronization the data path needs.  `sorted_prefix` counts
-/// the leading records whose timestamps never decrease; it only grows
-/// within a chunk and any value it ever held stays true, so a reader clamps
-/// it to its own count and binary-searches that prefix.
-struct Tsdb::HeadChunk {
-  HeadChunk(DeviceId id, std::uint32_t cap, std::uint32_t dict_cap)
-      : device(std::move(id)),
-        capacity(cap),
-        dict_capacity(dict_cap),
-        timestamps(new std::int64_t[cap]),
-        intervals(new std::int64_t[cap]),
-        currents_q(new std::int64_t[cap]),
-        voltages_q(new std::int64_t[cap]),
-        energies_q(new std::int64_t[cap]),
-        sequences(new std::uint64_t[cap]),
-        network_ids(new std::uint32_t[cap]),
-        flags(new std::uint8_t[cap]),
-        dict(new NetworkId[dict_cap]) {}
+/// Open head of one series: a ColumnChunk the single writer puts into, plus
+/// a release-published record count.  A reader works against the count it
+/// acquired at capture; rows (and the dictionary slots they reference)
+/// below that count were fully written before the count store, so
+/// release/acquire on `count` is the only synchronization the data path
+/// needs.  `sorted_prefix` counts the leading records whose timestamps
+/// never decrease; it only grows within a chunk and any value it ever held
+/// stays true, so a reader clamps it to its own count and binary-searches
+/// that prefix.
+struct Tsdb::HeadChunk : ColumnChunk {
+  using ColumnChunk::ColumnChunk;
 
-  DeviceId device;
-  std::uint32_t capacity;
-  std::uint32_t dict_capacity;
-  std::unique_ptr<std::int64_t[]> timestamps;
-  std::unique_ptr<std::int64_t[]> intervals;
-  std::unique_ptr<std::int64_t[]> currents_q;
-  std::unique_ptr<std::int64_t[]> voltages_q;
-  std::unique_ptr<std::int64_t[]> energies_q;
-  std::unique_ptr<std::uint64_t[]> sequences;
-  std::unique_ptr<std::uint32_t[]> network_ids;
-  std::unique_ptr<std::uint8_t[]> flags;
-  /// Slot j is written (once) before any record referencing j is published
-  /// through `count`, so a reader resolving a visible record's network index
-  /// always reads a fully-constructed name.
-  std::unique_ptr<NetworkId[]> dict;
   std::atomic<std::uint32_t> count{0};
   std::atomic<std::uint32_t> sorted_prefix{0};
 
   /// Sorted leading records a reader that captured `visible` may search.
   [[nodiscard]] std::uint32_t sorted(std::uint32_t visible) const noexcept {
     return std::min(sorted_prefix.load(std::memory_order_relaxed), visible);
-  }
-
-  /// Record i in stored form, filling timestamp, current, energy and the
-  /// `Columns` mask — the head side of the range fold.  Reads dict only as
-  /// a pointer offset, never the slot itself.
-  template <unsigned Columns>
-  [[nodiscard]] StoredRecord stored(std::uint32_t i) const noexcept {
-    StoredRecord rec;
-    rec.timestamp_ns = timestamps[i];
-    rec.current_q = currents_q[i];
-    rec.energy_q = energies_q[i];
-    if constexpr ((Columns & columns::kNetwork) != 0) {
-      rec.network = dict.get() + network_ids[i];
-    }
-    if constexpr ((Columns & columns::kFlags) != 0) {
-      rec.flags = flags[i];
-    }
-    if constexpr ((Columns & columns::kRest) != 0) {
-      rec.sequence = sequences[i];
-      rec.interval_ns = intervals[i];
-      rec.voltage_q = voltages_q[i];
-    }
-    return rec;
-  }
-
-  /// Reconstructs record i (dequantized) for sealing — the same
-  /// StoredRecord::materialize SegmentBuilder::record_at uses: sealing
-  /// re-appends these records into a SegmentBuilder, and the quantization
-  /// round-trip (quantize(dequantize(q)) == q) is what keeps the sealed
-  /// bytes bit-identical to sealing the original records.
-  [[nodiscard]] ConsumptionRecord record_at(std::uint32_t i) const {
-    return stored<columns::kAll>(i).materialize(device);
   }
 };
 
@@ -139,6 +81,8 @@ struct Tsdb::SeriesView {
   std::uint64_t sealed_records = 0;
   /// Dense creation-order index reported to the ingest hook.
   std::uint64_t ordinal = 0;
+  /// The writer map's key (address-stable, never erased).
+  const DeviceId* device = nullptr;
   const HeadChunk* head = nullptr;
 };
 
@@ -301,45 +245,27 @@ std::size_t Tsdb::shard_of(const DeviceId& id) const noexcept {
 // Ingest (single writer)
 // ---------------------------------------------------------------------------
 
-void Tsdb::publish_view(WriterSeries& w, const SeriesView* next,
-                        bool retire_chunk) {
+void Tsdb::publish_view(WriterSeries& w, const SeriesView* next) {
   const SeriesView* old = w.handle.view.load(std::memory_order_relaxed);
-  const HeadChunk* old_chunk = old != nullptr ? old->head : nullptr;
+  const HeadChunk* old_head = old->head;  // retire() may free `old` at once
   w.handle.view.store(next, std::memory_order_seq_cst);
-  if (old != nullptr) {
-    epochs_.retire(old);
-    if (retire_chunk && old_chunk != nullptr) {
-      epochs_.retire(old_chunk);
-    }
-  }
+  epochs_.retire(old);
+  epochs_.retire(old_head);
 }
 
-void Tsdb::grow_chunk(WriterSeries& w, std::uint32_t min_capacity,
-                      std::uint32_t min_dict) {
+Tsdb::HeadChunk* Tsdb::new_head() const {
+  return new HeadChunk(
+      std::min<std::uint32_t>(
+          kInitialChunkCapacity,
+          static_cast<std::uint32_t>(options_.seal_threshold)),
+      kInitialDictCapacity);
+}
+
+void Tsdb::grow_chunk(WriterSeries& w, std::uint32_t network) {
   const HeadChunk& old = *w.chunk;
-  std::uint32_t cap = old.capacity;
-  while (cap < min_capacity) {
-    cap = std::min<std::uint32_t>(
-        cap * 2, static_cast<std::uint32_t>(options_.seal_threshold));
-  }
-  std::uint32_t dict_cap = old.dict_capacity;
-  while (dict_cap < min_dict) {
-    dict_cap *= 2;
-  }
-  auto* next = new HeadChunk(old.device, cap, dict_cap);
-  for (std::uint32_t i = 0; i < w.count; ++i) {
-    next->timestamps[i] = old.timestamps[i];
-    next->intervals[i] = old.intervals[i];
-    next->currents_q[i] = old.currents_q[i];
-    next->voltages_q[i] = old.voltages_q[i];
-    next->energies_q[i] = old.energies_q[i];
-    next->sequences[i] = old.sequences[i];
-    next->network_ids[i] = old.network_ids[i];
-    next->flags[i] = old.flags[i];
-  }
-  for (std::uint32_t j = 0; j < w.dict_size; ++j) {
-    next->dict[j] = old.dict[j];
-  }
+  auto* next = new HeadChunk(
+      old, w.count, network, w.dict_size,
+      static_cast<std::uint32_t>(options_.seal_threshold));
   // Not yet reader-visible: the view publish below is the release that
   // covers these plain writes.
   next->sorted_prefix.store(old.sorted_prefix.load(std::memory_order_relaxed),
@@ -349,25 +275,18 @@ void Tsdb::grow_chunk(WriterSeries& w, std::uint32_t min_capacity,
   auto* view = new SeriesView(*cur);
   view->head = next;
   w.chunk = next;
-  publish_view(w, view, /*retire_chunk=*/true);
+  publish_view(w, view);
 }
 
 void Tsdb::seal_head(Shard& shard, WriterSeries& w) {
-  // Rebuild the records through record_at and let the shared SegmentBuilder
-  // encode them: the quantization round-trip is exact, so the sealed bytes
-  // are bit-identical to sealing the originals (pinned by test_store).
-  SegmentBuilder builder;
-  for (std::uint32_t i = 0; i < w.count; ++i) {
-    builder.append(w.chunk->record_at(i));
-  }
-  Segment seg = builder.seal();
+  const SeriesView* cur = w.handle.view.load(std::memory_order_relaxed);
+  Segment seg = w.chunk->seal(*cur->device, w.count, w.dict_size);
   sealed_bytes_.add(seg.byte_size() + seg.index_bytes());
   segments_sealed_.inc();
   shard.segments.push_back(std::move(seg));
   const Segment* stored = &shard.segments.back();
   const SegmentSummary& s = stored->summary();
 
-  const SeriesView* cur = w.handle.view.load(std::memory_order_relaxed);
   auto* view = new SeriesView(*cur);
   // Maintain the time index: the series stays binary-searchable while both
   // bounds advance monotonically seal-to-seal.
@@ -379,30 +298,19 @@ void Tsdb::seal_head(Shard& shard, WriterSeries& w) {
   view->seg_t_min.push_back(s.t_min_ns);
   view->seg_t_max.push_back(s.t_max_ns);
   view->sealed_records += w.count;
-  auto* fresh = new HeadChunk(
-      w.chunk->device,
-      std::min<std::uint32_t>(kInitialChunkCapacity,
-                              static_cast<std::uint32_t>(
-                                  options_.seal_threshold)),
-      kInitialDictCapacity);
-  view->head = fresh;
-  w.chunk = fresh;
+  view->head = w.chunk = new_head();
   w.count = 0;
   w.dict_size = 0;
-  publish_view(w, view, /*retire_chunk=*/true);
+  publish_view(w, view);
 }
 
 void Tsdb::init_series(Shard& shard, WriterSeries& w, const DeviceId& id) {
   devices_.inc();
   w.ordinal = next_ordinal_.fetch_add(1, std::memory_order_relaxed);
-  w.chunk = new HeadChunk(
-      id,
-      std::min<std::uint32_t>(kInitialChunkCapacity,
-                              static_cast<std::uint32_t>(
-                                  options_.seal_threshold)),
-      kInitialDictCapacity);
+  w.chunk = new_head();
   auto* view = new SeriesView();
   view->ordinal = w.ordinal;
+  view->device = &id;
   view->head = w.chunk;
   w.handle.view.store(view, std::memory_order_seq_cst);
   // Publish the successor index (readers find the handle through it, and
@@ -425,52 +333,23 @@ bool Tsdb::ingest(const ConsumptionRecord& record) {
   auto [it, created] = shard.series.try_emplace(record.device_id);
   WriterSeries& w = it->second;
   if (created) {
-    init_series(shard, w, record.device_id);  // cold: first-seen device
+    init_series(shard, w, it->first);  // cold: first-seen device
   }
   if (!w.dedup.admit(record.sequence)) {
     duplicates_dropped_.inc();
     return false;
   }
 
-  // Resolve the network against the open chunk's dictionary (first-seen
-  // append order, same as SegmentBuilder's).
   HeadChunk* chunk = w.chunk;
-  std::uint32_t net_id = w.dict_size;
-  for (std::uint32_t j = 0; j < w.dict_size; ++j) {
-    if (chunk->dict[j] == record.network) {
-      net_id = j;
-      break;
-    }
-  }
-  const bool new_network = net_id == w.dict_size;
-  if (w.count == chunk->capacity ||
-      (new_network && w.dict_size == chunk->dict_capacity)) {
-    grow_chunk(w, w.count + 1,
-               new_network ? w.dict_size + 1 : w.dict_size);
+  const std::uint32_t network = chunk->find(record.network, w.dict_size);
+  if (chunk->full(w.count, network, w.dict_size)) {
+    grow_chunk(w, network);
     chunk = w.chunk;
   }
-  if (new_network) {
-    chunk->dict[net_id] = record.network;  // before the count release below
-    ++w.dict_size;
-  }
   const std::uint32_t i = w.count;
-  chunk->timestamps[i] = record.timestamp_ns;
-  chunk->intervals[i] = record.interval_ns;
-  chunk->currents_q[i] = quantize(record.current_ma, kCurrentScale);
-  chunk->voltages_q[i] = quantize(record.bus_voltage_mv, kVoltageScale);
-  chunk->energies_q[i] = quantize(record.energy_mwh, kEnergyScale);
-  chunk->sequences[i] = record.sequence;
-  chunk->network_ids[i] = net_id;
-  std::uint8_t f = 0;
-  if (record.membership == core::MembershipKind::kTemporary) {
-    f |= kFlagTemporary;
-  }
-  if (record.stored_offline) {
-    f |= kFlagOffline;
-  }
-  chunk->flags[i] = f;
+  chunk->put(i, record, network, w.dict_size);
   if (chunk->sorted_prefix.load(std::memory_order_relaxed) == i &&
-      (i == 0 || record.timestamp_ns >= chunk->timestamps[i - 1])) {
+      (i == 0 || record.timestamp_ns >= chunk->timestamps()[i - 1])) {
     chunk->sorted_prefix.store(i + 1, std::memory_order_relaxed);
   }
   w.count = i + 1;
@@ -639,11 +518,12 @@ std::optional<std::pair<std::int64_t, std::int64_t>> Tsdb::observed_bounds(
   // by its ends.
   const HeadChunk& head = *ref.view->head;
   const std::uint32_t sorted = head.sorted(ref.head_visible);
+  const std::int64_t* ts = head.timestamps();
   if (sorted != 0) {
-    widen(head.timestamps[0], head.timestamps[sorted - 1]);
+    widen(ts[0], ts[sorted - 1]);
   }
   for (std::uint32_t i = sorted; i < ref.head_visible; ++i) {
-    widen(head.timestamps[i], head.timestamps[i]);
+    widen(ts[i], ts[i]);
   }
   return bounds;
 }
@@ -719,20 +599,19 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
     }
 
     // Visible head prefix, straight from the columns.  A network filter
-    // compares dict[id] only for ids visible records carry: the writer
-    // stores slot id before the count release that publishes the first
-    // record referencing it, and slots past the last such record may still
-    // be unwritten.
+    // compares a dictionary slot only when a visible record references it:
+    // the writer stores the slot before the count release that publishes
+    // the first such record, and slots past it may still be unwritten.
     const HeadChunk& head = *view.head;
-    std::uint32_t seen_id = UINT32_MAX;
+    const NetworkId* seen = nullptr;
     bool seen_match = false;
     const auto head_record = [&](std::uint32_t i) {
+      const StoredRecord r = head.stored<kColumns>(i);
       if constexpr ((kColumns & columns::kNetwork) != 0) {
         if (filter.network) {
-          const std::uint32_t id = head.network_ids[i];
-          if (id != seen_id) {
-            seen_id = id;
-            seen_match = head.dict[id] == *filter.network;
+          if (r.network != seen) {
+            seen = r.network;
+            seen_match = *r.network == *filter.network;
           }
           if (!seen_match) {
             return;
@@ -740,17 +619,17 @@ void Tsdb::fold_range(SeriesRef ref, std::int64_t first_ns,
         }
       }
       if constexpr ((kColumns & columns::kFlags) != 0) {
-        if (!offline_passes(head.flags[i])) {
+        if (!offline_passes(r.flags)) {
           return;
         }
       }
-      on_record(head.stored<kColumns>(i));
+      on_record(r);
     };
     // The sorted prefix holds the in-range records as one run found by
     // binary search; the unsorted suffix (an out-of-order arrival and
     // everything after it) is checked record by record.  Storage order
     // either way.
-    const std::int64_t* ts = head.timestamps.get();
+    const std::int64_t* ts = head.timestamps();
     const std::uint32_t sorted = head.sorted(ref.head_visible);
     const auto from = static_cast<std::uint32_t>(
         std::lower_bound(ts, ts + sorted, first_ns) - ts);
@@ -799,7 +678,7 @@ std::vector<ConsumptionRecord> Tsdb::scan(SeriesRef ref, std::int64_t t0_ns,
                                           const RecordFilter& filter) const {
   std::vector<ConsumptionRecord> out;
   if (ref) {
-    const DeviceId& device = ref.view->head->device;
+    const DeviceId& device = *ref.view->device;
     fold_half_open<columns::kAll>(
         ref, t0_ns, t1_ns, filter, nullptr,
         [&](const StoredRecord& r) { out.push_back(r.materialize(device)); });

@@ -48,11 +48,14 @@
 // ShardIndex pointer beyond its ReadGuard's scope — see
 // util/thread_annotations.hpp and the README's "Static analysis" section.
 //   * Ingest is single-writer: exactly one thread may call ingest() (and
-//     set_ingest_hook).  The fast path takes no locks — it appends into the
-//     open head chunk's pre-sized columns and publishes the new record count
-//     with one release store.  Before that store it also advances the
-//     chunk's sorted_prefix (relaxed; the leading records whose timestamps
-//     never decrease) while the new record keeps the head in order.
+//     set_ingest_hook).  The fast path takes no locks — ColumnChunk::put
+//     writes the record into the open head chunk's pre-sized quantized
+//     columns, and one release store publishes the new record count.
+//     Before that store it also advances the chunk's sorted_prefix
+//     (relaxed; the leading records whose timestamps never decrease) while
+//     the new record keeps the head in order.  A full head is sealed by
+//     encoding that chunk's columns directly (ColumnChunk::seal, the one
+//     encoder SegmentBuilder also uses).
 //   * Queries run concurrently with ingest and with each other, on any
 //     number of threads.  All reader-visible state is immutable once
 //     published: sealed segments never change; the open head is append-only
@@ -387,8 +390,8 @@ class Tsdb {
   ///     the others count as blocks_skipped.
   ///   * Head records are read straight from the chunk's columns: the
   ///     sorted prefix by binary search, the suffix record by record.  A
-  ///     network filter reads dict[j] only for indices a visible record
-  ///     references, so it never touches a slot the writer has not
+  ///     network filter reads a dictionary slot only when a visible record
+  ///     references it, so it never touches a slot the writer has not
   ///     published.
   ///   * records_decoded counts the sealed records decoded plus the head
   ///     records checked, added once per call.
@@ -407,18 +410,20 @@ class Tsdb {
   /// prefix; nullopt for an empty snapshot.
   [[nodiscard]] static std::optional<std::pair<std::int64_t, std::int64_t>>
   observed_bounds(SeriesRef ref);
-  /// Replaces a series' published view (and retires the old view and, when
-  /// `retire_chunk` is set, its chunk).
-  void publish_view(WriterSeries& w, const SeriesView* next,
-                    bool retire_chunk);
-  /// Grows the open chunk (capacity and/or dictionary) by replacement.
-  void grow_chunk(WriterSeries& w, std::uint32_t min_capacity,
-                  std::uint32_t min_dict);
+  /// Replaces a series' published view (with a new head chunk) and retires
+  /// the old view and its chunk.
+  void publish_view(WriterSeries& w, const SeriesView* next);
+  /// A fresh open chunk at the initial capacities.
+  [[nodiscard]] HeadChunk* new_head() const;
+  /// Grows the open chunk by replacement, to fit the next row and its
+  /// dictionary index `network` (ColumnChunk's growth copy).
+  void grow_chunk(WriterSeries& w, std::uint32_t network);
   /// Seals the full open chunk into a segment and publishes the new view.
   void seal_head(Shard& shard, WriterSeries& w);
   /// First-seen-device cold branch of ingest(): allocates the initial
   /// chunk/view and republishes the shard index.  Split out of the EMON_HOT
-  /// fast path so the per-record body stays allocation-free.
+  /// fast path so the per-record body stays allocation-free.  `id` is the
+  /// series map's key, whose address the view keeps.
   void init_series(Shard& shard, WriterSeries& w, const DeviceId& id);
 
   TsdbOptions options_;

@@ -1685,6 +1685,43 @@ TEST(TsdbFold, ParsedSegmentFoldsEveryRangeLikeTheSealedOriginal) {
   EXPECT_GT(skipped, 0u);  // the sealed side did skip blocks
 }
 
+TEST(TsdbFold, TsdbSealEncodesLikeASegmentBuilder) {
+  // Three 100-record heads, each grown 16 -> 32 -> 64 -> 100 before its
+  // seal.  The second holds out-of-order and extreme clocks; the third
+  // cycles six networks, so its dictionary grows past its first four
+  // slots.  Each Tsdb seal must encode exactly what a SegmentBuilder fed
+  // the same records does.
+  constexpr std::size_t kThreshold = 100;
+  auto records = synthetic_stream(3 * kThreshold, 23);
+  std::swap(records[110].timestamp_ns, records[180].timestamp_ns);
+  records[150].timestamp_ns = INT64_MIN + 5;
+  records[151].timestamp_ns = INT64_MAX - 5;
+  for (std::size_t i = 2 * kThreshold; i < records.size(); ++i) {
+    records[i].network = "wan-" + std::to_string(i % 6);
+  }
+  Tsdb db{TsdbOptions{1, kThreshold}};
+  for (const auto& r : records) {
+    ASSERT_TRUE(db.ingest(r));
+  }
+  std::size_t builder_bytes = 0;
+  std::vector<ConsumptionRecord> decoded;
+  for (std::size_t first = 0; first < records.size(); first += kThreshold) {
+    SegmentBuilder builder;
+    for (std::size_t i = first; i < first + kThreshold; ++i) {
+      builder.append(records[i]);
+    }
+    const Segment seg = builder.seal();
+    builder_bytes += seg.byte_size() + seg.index_bytes();
+    for (auto& r : seg.decode_all()) {
+      decoded.push_back(std::move(r));
+    }
+  }
+  EXPECT_EQ(db.stats().segments_sealed, 3u);
+  EXPECT_EQ(db.stats().sealed_bytes, builder_bytes);
+  const ReadGuard guard = db.read_guard();
+  EXPECT_EQ(db.scan(db.lookup("dev-1"), INT64_MIN, INT64_MAX), decoded);
+}
+
 TEST(TsdbFold, TrailingRangeSkipsBlocksAndCountsDecodeWork) {
   // 256 in-order records sealed (4 blocks) plus a 20-record head.  A range
   // covering the last 30 sealed records decodes only the last block and
