@@ -163,6 +163,31 @@ void BM_EnvelopeDecodeReport(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeDecodeReport)->Arg(1)->Arg(64)->Arg(256);
 
+void BM_EnvelopeSealPush(benchmark::State& state) {
+  // A subscription push with one per-device row per device (the widest push
+  // a dashboard can ask for); items are rows.
+  core::RollupPush push;
+  push.subscription_id = 1;
+  push.t1_ns = 1'000'000'000;
+  push.device_count = static_cast<std::uint64_t>(state.range(0));
+  push.merged.count = 640;
+  push.breakdown = {{"wan-0", 320, 1.5}, {"wan-1", 320, 2.5}};
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    core::WireAggregate row;
+    row.count = 10;
+    row.avg_current_ma = 123.456;
+    row.sum_energy_mwh = 0.0171;
+    push.per_device.push_back({"dev-" + std::to_string(i), row});
+  }
+  for (auto _ : state) {
+    auto frame = core::protocol::seal(push);
+    benchmark::DoNotOptimize(frame);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_EnvelopeSealPush)->Arg(64);
+
 void BM_EnvelopeRoundTripCtrl(benchmark::State& state) {
   // The smallest common frame: header overhead dominates here.
   core::CtrlMessage ctrl;

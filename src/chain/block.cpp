@@ -4,16 +4,24 @@
 
 namespace emon::chain {
 
+template <class IO>
+void fields(IO& io, BlockHeader& header) {
+  io(header.index, header.prev_hash, header.merkle_root, header.timestamp_ns,
+     header.writer);
+}
+
+template <class IO>
+void fields(IO& io, Block& block) {
+  io(block.header, block.records, block.hash, block.signature);
+}
+
+template void fields(util::FieldWriter&, BlockHeader&);
+template void fields(util::FieldReader&, BlockHeader&);
+template void fields(util::FieldWriter&, Block&);
+template void fields(util::FieldReader&, Block&);
+
 std::vector<std::uint8_t> serialize_header(const BlockHeader& header) {
-  util::ByteWriter w;
-  w.u64(header.index);
-  w.raw(std::span<const std::uint8_t>(header.prev_hash.data(),
-                                      header.prev_hash.size()));
-  w.raw(std::span<const std::uint8_t>(header.merkle_root.data(),
-                                      header.merkle_root.size()));
-  w.i64(header.timestamp_ns);
-  w.str(header.writer);
-  return w.take();
+  return util::to_bytes(header);
 }
 
 Digest records_merkle_root(const std::vector<RecordBytes>& records) {
@@ -53,51 +61,11 @@ bool verify_block_integrity(const Block& block) {
 }
 
 std::vector<std::uint8_t> serialize_block(const Block& block) {
-  util::ByteWriter w;
-  w.u64(block.header.index);
-  w.raw(std::span<const std::uint8_t>(block.header.prev_hash.data(),
-                                      block.header.prev_hash.size()));
-  w.raw(std::span<const std::uint8_t>(block.header.merkle_root.data(),
-                                      block.header.merkle_root.size()));
-  w.i64(block.header.timestamp_ns);
-  w.str(block.header.writer);
-  w.u32(static_cast<std::uint32_t>(block.records.size()));
-  for (const auto& record : block.records) {
-    w.u32(static_cast<std::uint32_t>(record.size()));
-    w.raw(std::span<const std::uint8_t>(record.data(), record.size()));
-  }
-  w.raw(std::span<const std::uint8_t>(block.hash.data(), block.hash.size()));
-  w.raw(std::span<const std::uint8_t>(block.signature.data(),
-                                      block.signature.size()));
-  return w.take();
+  return util::to_bytes(block);
 }
 
 Block deserialize_block(std::span<const std::uint8_t> bytes) {
-  util::ByteReader r{bytes};
-  Block block;
-  block.header.index = r.u64();
-  auto take_digest = [&r]() {
-    Digest d{};
-    const auto raw = r.raw(d.size());
-    std::copy(raw.begin(), raw.end(), d.begin());
-    return d;
-  };
-  block.header.prev_hash = take_digest();
-  block.header.merkle_root = take_digest();
-  block.header.timestamp_ns = r.i64();
-  block.header.writer = r.str();
-  const std::uint32_t count = r.u32();
-  block.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.u32();
-    block.records.push_back(r.raw(len));
-  }
-  block.hash = take_digest();
-  block.signature = take_digest();
-  if (!r.done()) {
-    throw util::DecodeError("trailing bytes after block");
-  }
-  return block;
+  return util::from_bytes<Block>(bytes);
 }
 
 }  // namespace emon::chain

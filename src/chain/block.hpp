@@ -43,6 +43,13 @@ struct Block {
   Digest signature{};
 };
 
+/// The canonical layouts (block.cpp), run by util::FieldWriter and
+/// util::FieldReader.  A block's layout starts with its header's.
+template <class IO>
+void fields(IO& io, BlockHeader& header);
+template <class IO>
+void fields(IO& io, Block& block);
+
 /// Canonical serialization of a header (the preimage of the block hash).
 [[nodiscard]] std::vector<std::uint8_t> serialize_header(
     const BlockHeader& header);

@@ -1,25 +1,55 @@
 #pragma once
 // Application-layer protocol message bodies (Figure 3 of the paper).
 //
-// These structs and their payload codecs are the *bodies* of protocol
-// frames; the framing itself — versioned envelope, MsgType discriminator,
-// topic map — lives in core/protocol.hpp.  Every message below travels
-// inside an envelope, device<->aggregator over MQTT and aggregator<->
-// aggregator over the backhaul, through the net::Transport interface.
+// These structs are the *bodies* of protocol frames; the framing itself —
+// versioned envelope, topic map — lives in core/protocol.hpp.  Every message
+// below travels inside an envelope, device<->aggregator over MQTT and
+// aggregator<->aggregator over the backhaul, through the net::Transport
+// interface.
 //
-// The per-type encode()/decode_*() functions operate on raw payload bytes
-// (no header); prefer protocol::seal()/protocol::decode_any() unless you
-// are the codec layer or its tests.
+// Each message carries its own MsgType byte (`kType`), its wire name for
+// logs and traces (`kWireName`) and its body layout: the `fields()` list
+// that util::FieldWriter encodes and util::FieldReader decodes.  Seal and
+// decode through protocol::seal()/protocol::decode_any().
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/records.hpp"
 
 namespace emon::core {
+
+namespace protocol {
+
+/// The frame's message-type byte.
+enum class MsgType : std::uint8_t {
+  // Device -> aggregator (MQTT uplink).
+  kRegisterRequest = 0x01,
+  kReport = 0x02,
+  // Aggregator -> device (MQTT downlink).
+  kCtrl = 0x03,
+  kBeacon = 0x04,
+  // Aggregator <-> aggregator (backhaul).
+  kVerifyDeviceQuery = 0x10,
+  kVerifyDeviceResponse = 0x11,
+  kRoamRecords = 0x12,
+  kTransferMembership = 0x13,
+  kRemoveDevice = 0x14,
+  kChainBlock = 0x20,
+  // Live dashboard subscription extension (client <-> aggregator, MQTT).
+  kSubscribeRequest = 0x30,
+  kSubscribeAck = 0x31,
+  kRollupPush = 0x32,
+  kUnsubscribe = 0x33,
+  // Metrics scrape (client <-> aggregator, MQTT admin).
+  kStatsRequest = 0x40,
+  kStatsResponse = 0x41,
+};
+
+}  // namespace protocol
 
 // -- Device -> aggregator -----------------------------------------------------
 
@@ -28,16 +58,31 @@ namespace emon::core {
 /// of the paper — and carries the home aggregator's address when a roaming
 /// device requests temporary membership.
 struct RegisterRequest {
+  static constexpr auto kType = protocol::MsgType::kRegisterRequest;
+  static constexpr std::string_view kWireName = "register_request";
   DeviceId device_id;
   std::string master_addr;
+
+  template <class IO>
+  friend void fields(IO& io, RegisterRequest& m) {
+    io(m.device_id, m.master_addr);
+  }
 };
 
 /// A consumption report: current measurement plus any locally stored
 /// backlog ("The combination of stored data and the measurement are
 /// transmitted to the aggregator in the next transmission", §II-C).
 struct Report {
+  static constexpr auto kType = protocol::MsgType::kReport;
+  static constexpr std::string_view kWireName = "report";
   DeviceId device_id;
   std::vector<ConsumptionRecord> records;
+
+  template <class IO>
+  friend void fields(IO& io, Report& m) {
+    io(m.device_id);
+    io.nested(m.records);
+  }
 };
 
 // -- Aggregator -> device -----------------------------------------------------
@@ -53,6 +98,8 @@ enum class CtrlType : std::uint8_t {
 [[nodiscard]] const char* to_string(CtrlType t) noexcept;
 
 struct CtrlMessage {
+  static constexpr auto kType = protocol::MsgType::kCtrl;
+  static constexpr std::string_view kWireName = "ctrl";
   CtrlType type = CtrlType::kReportAck;
   DeviceId device_id;
   /// For kRegisterAccept: the network address the device should treat as
@@ -66,73 +113,94 @@ struct CtrlMessage {
   std::uint64_t ack_sequence = 0;
   /// Free-form reason for rejects.
   std::string reason;
+
+  template <class IO>
+  friend void fields(IO& io, CtrlMessage& m) {
+    io.enumeration(m.type, CtrlType::kMembershipRemoved);
+    io(m.device_id, m.assigned_addr);
+    io.enumeration(m.membership, MembershipKind::kTemporary);
+    io(m.slot, m.ack_sequence, m.reason);
+  }
 };
 
 /// Time-sync beacon payload.
 struct Beacon {
+  static constexpr auto kType = protocol::MsgType::kBeacon;
+  static constexpr std::string_view kWireName = "beacon";
   std::string aggregator_id;
   std::int64_t master_time_ns = 0;
+
+  template <class IO>
+  friend void fields(IO& io, Beacon& m) {
+    io(m.aggregator_id, m.master_time_ns);
+  }
 };
-
-// -- Serialization (envelope payloads) -----------------------------------------
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const RegisterRequest& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const Report& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const CtrlMessage& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const Beacon& m);
-
-[[nodiscard]] RegisterRequest decode_register_request(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] Report decode_report(std::span<const std::uint8_t> bytes);
-[[nodiscard]] CtrlMessage decode_ctrl(std::span<const std::uint8_t> bytes);
-[[nodiscard]] Beacon decode_beacon(std::span<const std::uint8_t> bytes);
 
 // -- Backhaul payloads ----------------------------------------------------------
 
 /// verify_device: does `master` know `device_id` as a home member?
 struct VerifyDeviceQuery {
+  static constexpr auto kType = protocol::MsgType::kVerifyDeviceQuery;
+  static constexpr std::string_view kWireName = "verify_device";
   DeviceId device_id;
   std::string origin;  // aggregator asking
+
+  template <class IO>
+  friend void fields(IO& io, VerifyDeviceQuery& m) {
+    io(m.device_id, m.origin);
+  }
 };
 struct VerifyDeviceResponse {
+  static constexpr auto kType = protocol::MsgType::kVerifyDeviceResponse;
+  static constexpr std::string_view kWireName = "verify_device_resp";
   DeviceId device_id;
   bool known = false;
   std::string master;  // responder id
+
+  template <class IO>
+  friend void fields(IO& io, VerifyDeviceResponse& m) {
+    io(m.device_id, m.known, m.master);
+  }
 };
 /// roam_records: records collected for a device under temporary membership,
 /// forwarded to its master for billing.
 struct RoamRecords {
+  static constexpr auto kType = protocol::MsgType::kRoamRecords;
+  static constexpr std::string_view kWireName = "roam_records";
   DeviceId device_id;
   std::string collector;  // temporary aggregator
   std::vector<ConsumptionRecord> records;
+
+  template <class IO>
+  friend void fields(IO& io, RoamRecords& m) {
+    io(m.device_id, m.collector);
+    io.nested(m.records);
+  }
 };
 /// transfer_membership: home aggregator hands the device to a new master.
 struct TransferMembership {
+  static constexpr auto kType = protocol::MsgType::kTransferMembership;
+  static constexpr std::string_view kWireName = "transfer_membership";
   DeviceId device_id;
   std::string new_master;
+
+  template <class IO>
+  friend void fields(IO& io, TransferMembership& m) {
+    io(m.device_id, m.new_master);
+  }
 };
 /// remove_device: membership removal notice (loss/reset/ownership change).
 struct RemoveDevice {
+  static constexpr auto kType = protocol::MsgType::kRemoveDevice;
+  static constexpr std::string_view kWireName = "remove_device";
   DeviceId device_id;
   std::string reason;
+
+  template <class IO>
+  friend void fields(IO& io, RemoveDevice& m) {
+    io(m.device_id, m.reason);
+  }
 };
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const VerifyDeviceQuery& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const VerifyDeviceResponse& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const RoamRecords& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const TransferMembership& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const RemoveDevice& m);
-
-[[nodiscard]] VerifyDeviceQuery decode_verify_query(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] VerifyDeviceResponse decode_verify_response(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] RoamRecords decode_roam_records(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] TransferMembership decode_transfer(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] RemoveDevice decode_remove(
-    std::span<const std::uint8_t> bytes);
 
 // -- Live subscription payloads (dashboard push path) --------------------------
 //
@@ -154,6 +222,11 @@ struct WireAggregate {
   double sum_energy_mwh = 0.0;
 
   friend bool operator==(const WireAggregate&, const WireAggregate&) = default;
+  template <class IO>
+  friend void fields(IO& io, WireAggregate& m) {
+    io(m.count, m.t_min_ns, m.t_max_ns, m.min_current_ma, m.max_current_ma,
+       m.avg_current_ma, m.sum_energy_mwh);
+  }
 };
 
 /// Wire form of one per-network usage subtotal.
@@ -164,6 +237,10 @@ struct WireNetworkUsage {
 
   friend bool operator==(const WireNetworkUsage&,
                          const WireNetworkUsage&) = default;
+  template <class IO>
+  friend void fields(IO& io, WireNetworkUsage& m) {
+    io(m.network, m.records, m.energy_mwh);
+  }
 };
 
 /// subscribe: register a live window over a device set (empty = the whole
@@ -171,6 +248,8 @@ struct WireNetworkUsage {
 /// (emon/push/<client_id>); `subscription_id` is the client-chosen handle
 /// echoed in the ack and every push.
 struct SubscribeRequest {
+  static constexpr auto kType = protocol::MsgType::kSubscribeRequest;
+  static constexpr std::string_view kWireName = "subscribe";
   std::string client_id;
   std::uint64_t subscription_id = 0;
   std::vector<DeviceId> devices;
@@ -186,23 +265,36 @@ struct SubscribeRequest {
 
   friend bool operator==(const SubscribeRequest&,
                          const SubscribeRequest&) = default;
+  template <class IO>
+  friend void fields(IO& io, SubscribeRequest& m) {
+    io(m.client_id, m.subscription_id, m.devices, m.window_ns, m.slide_ns,
+       m.lateness_ns, m.network, m.stored_offline, m.include_per_device);
+  }
 };
 
 /// subscribe_ack: accept (with the anchor the window grid was pinned to) or
 /// reject (with a reason).
 struct SubscribeAck {
+  static constexpr auto kType = protocol::MsgType::kSubscribeAck;
+  static constexpr std::string_view kWireName = "subscribe_ack";
   std::uint64_t subscription_id = 0;
   bool accepted = false;
   std::int64_t anchor_ns = 0;
   std::string reason;
 
   friend bool operator==(const SubscribeAck&, const SubscribeAck&) = default;
+  template <class IO>
+  friend void fields(IO& io, SubscribeAck& m) {
+    io(m.subscription_id, m.accepted, m.anchor_ns, m.reason);
+  }
 };
 
 /// push: one closed window [t0, t1) — fleet merge, per-network breakdown,
 /// and (when subscribed with include_per_device) the per-device rows sorted
 /// by device id.
 struct RollupPush {
+  static constexpr auto kType = protocol::MsgType::kRollupPush;
+  static constexpr std::string_view kWireName = "rollup_push";
   std::uint64_t subscription_id = 0;
   std::int64_t t0_ns = 0;
   std::int64_t t1_ns = 0;
@@ -215,18 +307,33 @@ struct RollupPush {
     DeviceId device;
     WireAggregate aggregate;
     friend bool operator==(const DeviceRow&, const DeviceRow&) = default;
+    template <class IO>
+    friend void fields(IO& io, DeviceRow& m) {
+      io(m.device, m.aggregate);
+    }
   };
   std::vector<DeviceRow> per_device;
 
   friend bool operator==(const RollupPush&, const RollupPush&) = default;
+  template <class IO>
+  friend void fields(IO& io, RollupPush& m) {
+    io(m.subscription_id, m.t0_ns, m.t1_ns, m.device_count, m.merged,
+       m.breakdown, m.per_device);
+  }
 };
 
 /// unsubscribe: drop one subscription of `client_id`.
 struct Unsubscribe {
+  static constexpr auto kType = protocol::MsgType::kUnsubscribe;
+  static constexpr std::string_view kWireName = "unsubscribe";
   std::uint64_t subscription_id = 0;
   std::string client_id;
 
   friend bool operator==(const Unsubscribe&, const Unsubscribe&) = default;
+  template <class IO>
+  friend void fields(IO& io, Unsubscribe& m) {
+    io(m.subscription_id, m.client_id);
+  }
 };
 
 // -- Metrics scrape (client <-> aggregator, MQTT admin) -----------------------
@@ -236,10 +343,16 @@ struct Unsubscribe {
 /// topic (emon/push/<client_id>).  `request_id` is echoed verbatim so a
 /// client can match responses to in-flight scrapes.
 struct StatsRequest {
+  static constexpr auto kType = protocol::MsgType::kStatsRequest;
+  static constexpr std::string_view kWireName = "stats_request";
   std::string client_id;
   std::uint64_t request_id = 0;
 
   friend bool operator==(const StatsRequest&, const StatsRequest&) = default;
+  template <class IO>
+  friend void fields(IO& io, StatsRequest& m) {
+    io(m.client_id, m.request_id);
+  }
 };
 
 /// One folded counter in a StatsResponse.
@@ -248,6 +361,11 @@ struct WireCounter {
   std::uint64_t value = 0;
 
   friend bool operator==(const WireCounter&, const WireCounter&) = default;
+  template <class IO>
+  friend void fields(IO& io, WireCounter& m) {
+    io(m.name);
+    io.varint(m.value);
+  }
 };
 
 /// One gauge in a StatsResponse.
@@ -256,6 +374,11 @@ struct WireGauge {
   std::int64_t value = 0;
 
   friend bool operator==(const WireGauge&, const WireGauge&) = default;
+  template <class IO>
+  friend void fields(IO& io, WireGauge& m) {
+    io(m.name);
+    io.zigzag(m.value);
+  }
 };
 
 /// One folded histogram in a StatsResponse (obs::HistogramSummary shape).
@@ -270,11 +393,18 @@ struct WireHistogram {
   std::uint64_t p99 = 0;
 
   friend bool operator==(const WireHistogram&, const WireHistogram&) = default;
+  template <class IO>
+  friend void fields(IO& io, WireHistogram& m) {
+    io(m.name);
+    io.varint(m.count, m.sum, m.min, m.max, m.p50, m.p95, m.p99);
+  }
 };
 
 /// stats_response: the aggregator's MetricsSnapshot, instruments in sorted
 /// name order (the snapshot's deterministic fold order).
 struct StatsResponse {
+  static constexpr auto kType = protocol::MsgType::kStatsResponse;
+  static constexpr std::string_view kWireName = "stats_response";
   std::uint64_t request_id = 0;
   std::string aggregator_id;
   std::int64_t sim_now_ns = 0;
@@ -283,28 +413,11 @@ struct StatsResponse {
   std::vector<WireHistogram> histograms;
 
   friend bool operator==(const StatsResponse&, const StatsResponse&) = default;
+  template <class IO>
+  friend void fields(IO& io, StatsResponse& m) {
+    io(m.request_id, m.aggregator_id, m.sim_now_ns, m.counters, m.gauges,
+       m.histograms);
+  }
 };
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const SubscribeRequest& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const SubscribeAck& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const RollupPush& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const Unsubscribe& m);
-
-[[nodiscard]] SubscribeRequest decode_subscribe_request(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] SubscribeAck decode_subscribe_ack(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] RollupPush decode_rollup_push(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] Unsubscribe decode_unsubscribe(
-    std::span<const std::uint8_t> bytes);
-
-[[nodiscard]] std::vector<std::uint8_t> encode(const StatsRequest& m);
-[[nodiscard]] std::vector<std::uint8_t> encode(const StatsResponse& m);
-
-[[nodiscard]] StatsRequest decode_stats_request(
-    std::span<const std::uint8_t> bytes);
-[[nodiscard]] StatsResponse decode_stats_response(
-    std::span<const std::uint8_t> bytes);
 
 }  // namespace emon::core

@@ -6,73 +6,48 @@
 
 namespace emon::core::protocol {
 
+namespace {
+
+/// Calls `f(std::type_identity<M>{})` for the Message alternative M whose
+/// kType is `type`; false when no alternative has that type.
+template <class F>
+bool with_type(MsgType type, F&& f) {
+  return [&]<class... M>(std::type_identity<std::variant<M...>>) {
+    return ((M::kType == type && (f(std::type_identity<M>{}), true)) || ...);
+  }(std::type_identity<Message>{});
+}
+
+// decode_any() takes the first alternative with a frame's type byte, so a
+// second alternative with the same byte could never be decoded.
+static_assert(
+    []<class... M>(std::type_identity<std::variant<M...>>) {
+      const MsgType types[] = {M::kType...};
+      for (std::size_t i = 0; i < sizeof...(M); ++i) {
+        for (std::size_t j = i + 1; j < sizeof...(M); ++j) {
+          if (types[i] == types[j]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    }(std::type_identity<Message>{}),
+    "two Message alternatives share a MsgType");
+
+}  // namespace
+
 std::string_view wire_name(MsgType t) noexcept {
-  switch (t) {
-    case MsgType::kRegisterRequest:
-      return "register_request";
-    case MsgType::kReport:
-      return "report";
-    case MsgType::kCtrl:
-      return "ctrl";
-    case MsgType::kBeacon:
-      return "beacon";
-    case MsgType::kVerifyDeviceQuery:
-      return "verify_device";
-    case MsgType::kVerifyDeviceResponse:
-      return "verify_device_resp";
-    case MsgType::kRoamRecords:
-      return "roam_records";
-    case MsgType::kTransferMembership:
-      return "transfer_membership";
-    case MsgType::kRemoveDevice:
-      return "remove_device";
-    case MsgType::kChainBlock:
-      return "chain_block";
-    case MsgType::kSubscribeRequest:
-      return "subscribe";
-    case MsgType::kSubscribeAck:
-      return "subscribe_ack";
-    case MsgType::kRollupPush:
-      return "rollup_push";
-    case MsgType::kUnsubscribe:
-      return "unsubscribe";
-    case MsgType::kStatsRequest:
-      return "stats_request";
-    case MsgType::kStatsResponse:
-      return "stats_response";
-  }
-  return "?";
+  std::string_view name = "?";
+  with_type(t, [&]<class M>(std::type_identity<M>) { name = M::kWireName; });
+  return name;
 }
 
 bool is_known_msg_type(std::uint8_t raw) noexcept {
-  switch (static_cast<MsgType>(raw)) {
-    case MsgType::kRegisterRequest:
-    case MsgType::kReport:
-    case MsgType::kCtrl:
-    case MsgType::kBeacon:
-    case MsgType::kVerifyDeviceQuery:
-    case MsgType::kVerifyDeviceResponse:
-    case MsgType::kRoamRecords:
-    case MsgType::kTransferMembership:
-    case MsgType::kRemoveDevice:
-    case MsgType::kChainBlock:
-    case MsgType::kSubscribeRequest:
-    case MsgType::kSubscribeAck:
-    case MsgType::kRollupPush:
-    case MsgType::kUnsubscribe:
-    case MsgType::kStatsRequest:
-    case MsgType::kStatsResponse:
-      return true;
-  }
-  return false;
+  return with_type(static_cast<MsgType>(raw), [](auto) {});
 }
 
 MsgType msg_type_of(const Message& m) noexcept {
   return std::visit(
-      [](const auto& alt) {
-        return kMsgTypeFor<std::decay_t<decltype(alt)>>;
-      },
-      m);
+      [](const auto& alt) { return std::decay_t<decltype(alt)>::kType; }, m);
 }
 
 const char* to_string(DecodeFault f) noexcept {
@@ -93,19 +68,19 @@ const char* to_string(DecodeFault f) noexcept {
   return "?";
 }
 
-std::vector<std::uint8_t> seal(MsgType type,
-                               std::span<const std::uint8_t> payload) {
-  util::ByteWriter w;
+void write_frame_start(util::ByteWriter& w, MsgType type) {
   w.u16(kMagic);
   w.u8(kProtocolVersion);
   w.u8(static_cast<std::uint8_t>(type));
+}
+
+std::vector<std::uint8_t> seal(MsgType type,
+                               std::span<const std::uint8_t> payload) {
+  util::ByteWriter w;
+  write_frame_start(w, type);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.raw(payload);
   return w.take();
-}
-
-std::vector<std::uint8_t> encode(const ChainBlock& m) {
-  return chain::serialize_block(m.block);
 }
 
 std::vector<std::uint8_t> seal(const Message& m) {
@@ -186,69 +161,22 @@ Result<Envelope> open(std::span<const std::uint8_t> frame) {
   return env;
 }
 
-namespace {
-
-/// Runs a throwing payload codec, mapping any failure to a typed error.
-template <typename Decode>
-Result<Message> decode_payload(MsgType type, Decode&& decode) {
-  try {
-    return Message{decode()};
-  } catch (const std::exception& e) {
-    return DecodeFailure{DecodeFault::kMalformedPayload,
-                         std::string(wire_name(type)) + ": " + e.what()};
-  }
-}
-
-}  // namespace
-
 Result<Message> decode_any(std::span<const std::uint8_t> frame) {
   Result<HeaderView> parsed = parse_header(frame);
   if (!parsed) {
     return parsed.failure();
   }
-  const HeaderView& env = parsed.value();
-  const std::span<const std::uint8_t> p = env.payload;
-  switch (env.type) {
-    case MsgType::kRegisterRequest:
-      return decode_payload(env.type,
-                            [&] { return decode_register_request(p); });
-    case MsgType::kReport:
-      return decode_payload(env.type, [&] { return decode_report(p); });
-    case MsgType::kCtrl:
-      return decode_payload(env.type, [&] { return decode_ctrl(p); });
-    case MsgType::kBeacon:
-      return decode_payload(env.type, [&] { return decode_beacon(p); });
-    case MsgType::kVerifyDeviceQuery:
-      return decode_payload(env.type, [&] { return decode_verify_query(p); });
-    case MsgType::kVerifyDeviceResponse:
-      return decode_payload(env.type,
-                            [&] { return decode_verify_response(p); });
-    case MsgType::kRoamRecords:
-      return decode_payload(env.type, [&] { return decode_roam_records(p); });
-    case MsgType::kTransferMembership:
-      return decode_payload(env.type, [&] { return decode_transfer(p); });
-    case MsgType::kRemoveDevice:
-      return decode_payload(env.type, [&] { return decode_remove(p); });
-    case MsgType::kChainBlock:
-      return decode_payload(env.type, [&] {
-        return ChainBlock{chain::deserialize_block(p)};
-      });
-    case MsgType::kSubscribeRequest:
-      return decode_payload(env.type,
-                            [&] { return decode_subscribe_request(p); });
-    case MsgType::kSubscribeAck:
-      return decode_payload(env.type, [&] { return decode_subscribe_ack(p); });
-    case MsgType::kRollupPush:
-      return decode_payload(env.type, [&] { return decode_rollup_push(p); });
-    case MsgType::kUnsubscribe:
-      return decode_payload(env.type, [&] { return decode_unsubscribe(p); });
-    case MsgType::kStatsRequest:
-      return decode_payload(env.type, [&] { return decode_stats_request(p); });
-    case MsgType::kStatsResponse:
-      return decode_payload(env.type,
-                            [&] { return decode_stats_response(p); });
-  }
-  return DecodeFailure{DecodeFault::kUnknownType, "unreachable"};
+  const std::span<const std::uint8_t> payload = parsed.value().payload;
+  Result<Message> out = DecodeFailure{DecodeFault::kUnknownType, "?"};
+  with_type(parsed.value().type, [&]<class M>(std::type_identity<M>) {
+    try {
+      out = Message{util::from_bytes<M>(payload)};
+    } catch (const std::exception& e) {
+      out = DecodeFailure{DecodeFault::kMalformedPayload,
+                          std::string(M::kWireName) + ": " + e.what()};
+    }
+  });
+  return out;
 }
 
 Result<Message> decode_any(const std::vector<std::uint8_t>& frame) {

@@ -6,7 +6,7 @@
 //   offset 2  u8   protocol version kProtocolVersion
 //   offset 3  u8   message type     MsgType
 //   offset 4  u32  payload length   bytes following the header
-//   offset 8  ...  payload          per-type body (messages.hpp codecs)
+//   offset 8  ...  payload          per-type body (its fields() list)
 //
 // `seal()` wraps a typed message into a frame; `decode_any()` parses a frame
 // into a `Message` variant or a typed `DecodeFailure` — malformed input
@@ -28,6 +28,7 @@
 
 #include "chain/block.hpp"
 #include "core/messages.hpp"
+#include "util/bytes.hpp"
 
 namespace emon::core::protocol {
 
@@ -39,30 +40,9 @@ inline constexpr std::uint8_t kProtocolVersion = 1;
 inline constexpr std::size_t kHeaderSize = 8;
 
 // -- Message types ------------------------------------------------------------
-
-enum class MsgType : std::uint8_t {
-  // Device -> aggregator (MQTT uplink).
-  kRegisterRequest = 0x01,
-  kReport = 0x02,
-  // Aggregator -> device (MQTT downlink).
-  kCtrl = 0x03,
-  kBeacon = 0x04,
-  // Aggregator <-> aggregator (backhaul).
-  kVerifyDeviceQuery = 0x10,
-  kVerifyDeviceResponse = 0x11,
-  kRoamRecords = 0x12,
-  kTransferMembership = 0x13,
-  kRemoveDevice = 0x14,
-  kChainBlock = 0x20,
-  // Live dashboard subscription extension (client <-> aggregator, MQTT).
-  kSubscribeRequest = 0x30,
-  kSubscribeAck = 0x31,
-  kRollupPush = 0x32,
-  kUnsubscribe = 0x33,
-  // Metrics scrape (client <-> aggregator, MQTT admin).
-  kStatsRequest = 0x40,
-  kStatsResponse = 0x41,
-};
+//
+// MsgType (messages.hpp) names the type byte; each message struct carries its
+// own `kType` and `kWireName`, and the functions below fold over `Message`.
 
 /// Stable wire name (the former backhaul `kind` strings), for logs/traces.
 [[nodiscard]] std::string_view wire_name(MsgType t) noexcept;
@@ -72,7 +52,14 @@ enum class MsgType : std::uint8_t {
 
 /// Permissioned-chain block replication (was backhaul kind "chain_block").
 struct ChainBlock {
+  static constexpr auto kType = MsgType::kChainBlock;
+  static constexpr std::string_view kWireName = "chain_block";
   chain::Block block;
+
+  template <class IO>
+  friend void fields(IO& io, ChainBlock& m) {
+    io(m.block);
+  }
 };
 
 /// The closed set of protocol messages.  Everything on the wire is exactly
@@ -84,52 +71,6 @@ using Message =
                  SubscribeRequest, SubscribeAck, RollupPush, Unsubscribe,
                  StatsRequest, StatsResponse>;
 
-/// Compile-time MsgType of a message struct.  The primary template fails to
-/// compile, so a message added to `Message` without a mapping is a build
-/// error, not a frame with a zero type byte.
-template <typename M>
-inline constexpr MsgType kMsgTypeFor = [] {
-  static_assert(sizeof(M) == 0, "no MsgType mapping for this message type");
-  return MsgType{};
-}();
-template <>
-inline constexpr MsgType kMsgTypeFor<RegisterRequest> =
-    MsgType::kRegisterRequest;
-template <>
-inline constexpr MsgType kMsgTypeFor<Report> = MsgType::kReport;
-template <>
-inline constexpr MsgType kMsgTypeFor<CtrlMessage> = MsgType::kCtrl;
-template <>
-inline constexpr MsgType kMsgTypeFor<Beacon> = MsgType::kBeacon;
-template <>
-inline constexpr MsgType kMsgTypeFor<VerifyDeviceQuery> =
-    MsgType::kVerifyDeviceQuery;
-template <>
-inline constexpr MsgType kMsgTypeFor<VerifyDeviceResponse> =
-    MsgType::kVerifyDeviceResponse;
-template <>
-inline constexpr MsgType kMsgTypeFor<RoamRecords> = MsgType::kRoamRecords;
-template <>
-inline constexpr MsgType kMsgTypeFor<TransferMembership> =
-    MsgType::kTransferMembership;
-template <>
-inline constexpr MsgType kMsgTypeFor<RemoveDevice> = MsgType::kRemoveDevice;
-template <>
-inline constexpr MsgType kMsgTypeFor<ChainBlock> = MsgType::kChainBlock;
-template <>
-inline constexpr MsgType kMsgTypeFor<SubscribeRequest> =
-    MsgType::kSubscribeRequest;
-template <>
-inline constexpr MsgType kMsgTypeFor<SubscribeAck> = MsgType::kSubscribeAck;
-template <>
-inline constexpr MsgType kMsgTypeFor<RollupPush> = MsgType::kRollupPush;
-template <>
-inline constexpr MsgType kMsgTypeFor<Unsubscribe> = MsgType::kUnsubscribe;
-template <>
-inline constexpr MsgType kMsgTypeFor<StatsRequest> = MsgType::kStatsRequest;
-template <>
-inline constexpr MsgType kMsgTypeFor<StatsResponse> = MsgType::kStatsResponse;
-
 /// Runtime MsgType of a Message variant.
 [[nodiscard]] MsgType msg_type_of(const Message& m) noexcept;
 
@@ -137,7 +78,7 @@ inline constexpr MsgType kMsgTypeFor<StatsResponse> = MsgType::kStatsResponse;
 /// a visitor, where only the deduced type identifies the message.
 template <typename M>
 [[nodiscard]] std::string_view wire_name_of(const M&) noexcept {
-  return wire_name(kMsgTypeFor<std::decay_t<M>>);
+  return M::kWireName;
 }
 
 // -- Decode errors ------------------------------------------------------------
@@ -190,23 +131,33 @@ struct Envelope {
   }
 };
 
+/// Writes magic, version and type: the header up to the payload length.
+void write_frame_start(util::ByteWriter& w, MsgType type);
+
 /// Frames a payload: header + body bytes.
 [[nodiscard]] std::vector<std::uint8_t> seal(
     MsgType type, std::span<const std::uint8_t> payload);
 
-/// Frames a typed message (encodes the body, then seals it).
+/// Frames a typed message: the header, then its body as a length-prefixed
+/// field list.
 [[nodiscard]] std::vector<std::uint8_t> seal(const Message& m);
 template <typename M>
 [[nodiscard]] std::vector<std::uint8_t> seal(const M& m) {
-  return seal(kMsgTypeFor<M>, encode(m));
+  util::ByteWriter w;
+  write_frame_start(w, M::kType);
+  util::FieldWriter{w}.nested(m);
+  // Frames wait in queues and pre-built traffic: drop the growth slack.
+  std::vector<std::uint8_t> frame = w.take();
+  frame.shrink_to_fit();
+  return frame;
 }
-[[nodiscard]] std::vector<std::uint8_t> encode(const ChainBlock& m);
 
 /// Header-only parse: validates magic/version/type/length and hands back the
 /// envelope without decoding the body.  Never throws.
 [[nodiscard]] Result<Envelope> open(std::span<const std::uint8_t> frame);
 
-/// Full parse: open() + per-type payload decode.  Never throws.
+/// Full parse: open() + the type's strict field-list decode, which must
+/// consume the payload exactly.  Never throws.
 [[nodiscard]] Result<Message> decode_any(std::span<const std::uint8_t> frame);
 [[nodiscard]] Result<Message> decode_any(
     const std::vector<std::uint8_t>& frame);

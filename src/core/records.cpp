@@ -14,88 +14,32 @@ const char* to_string(MembershipKind kind) noexcept {
   return "?";
 }
 
-namespace {
-void write_record(util::ByteWriter& w, const ConsumptionRecord& r) {
-  w.str(r.device_id);
-  w.u64(r.sequence);
-  w.i64(r.timestamp_ns);
-  w.i64(r.interval_ns);
-  w.f64(r.current_ma);
-  w.f64(r.bus_voltage_mv);
-  w.f64(r.energy_mwh);
-  w.str(r.network);
-  w.u8(static_cast<std::uint8_t>(r.membership));
-  w.u8(r.stored_offline ? 1 : 0);
+template <class IO>
+void fields(IO& io, ConsumptionRecord& r) {
+  io(r.device_id, r.sequence, r.timestamp_ns, r.interval_ns, r.current_ma,
+     r.bus_voltage_mv, r.energy_mwh, r.network);
+  io.enumeration(r.membership, MembershipKind::kTemporary);
+  io(r.stored_offline);
 }
-
-ConsumptionRecord read_record(util::ByteReader& r) {
-  ConsumptionRecord rec;
-  rec.device_id = r.str();
-  rec.sequence = r.u64();
-  rec.timestamp_ns = r.i64();
-  rec.interval_ns = r.i64();
-  rec.current_ma = r.f64();
-  rec.bus_voltage_mv = r.f64();
-  rec.energy_mwh = r.f64();
-  rec.network = r.str();
-  const std::uint8_t kind = r.u8();
-  if (kind > 1) {
-    throw util::DecodeError("bad membership kind " + std::to_string(kind));
-  }
-  rec.membership = static_cast<MembershipKind>(kind);
-  rec.stored_offline = r.u8() != 0;
-  return rec;
-}
-}  // namespace
+template void fields(util::FieldWriter&, ConsumptionRecord&);
+template void fields(util::FieldReader&, ConsumptionRecord&);
 
 chain::RecordBytes serialize_record(const ConsumptionRecord& r) {
-  util::ByteWriter w;
-  write_record(w, r);
-  return w.take();
+  return util::to_bytes(r);
 }
 
 ConsumptionRecord deserialize_record(const chain::RecordBytes& bytes) {
-  util::ByteReader r{
-      std::span<const std::uint8_t>(bytes.data(), bytes.size())};
-  ConsumptionRecord rec = read_record(r);
-  if (!r.done()) {
-    throw util::DecodeError("trailing bytes after record");
-  }
-  return rec;
+  return util::from_bytes<ConsumptionRecord>(bytes);
 }
 
 std::vector<std::uint8_t> serialize_records(
     const std::vector<ConsumptionRecord>& records) {
-  util::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& rec : records) {
-    write_record(w, rec);
-  }
-  return w.take();
+  return util::to_bytes(records);
 }
 
 std::vector<ConsumptionRecord> deserialize_records(
     const std::vector<std::uint8_t>& bytes) {
-  util::ByteReader r{
-      std::span<const std::uint8_t>(bytes.data(), bytes.size())};
-  const std::uint32_t count = r.u32();
-  // A record is at least kRecordWireFixedBytes (fixed fields + two empty
-  // strings); an adversarial count prefix must not drive a giant reserve()
-  // before the per-record reads hit end-of-buffer.
-  if (count > r.remaining() / kRecordWireFixedBytes) {
-    throw util::DecodeError("record count " + std::to_string(count) +
-                            " exceeds remaining " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
-  std::vector<ConsumptionRecord> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.push_back(read_record(r));
-  }
-  if (!r.done()) {
-    throw util::DecodeError("trailing bytes after record batch");
-  }
-  return out;
+  return util::from_bytes<std::vector<ConsumptionRecord>>(bytes);
 }
 
 }  // namespace emon::core

@@ -53,9 +53,14 @@ struct ConsumptionRecord {
 };
 
 /// Fixed-field wire size of `serialize_record` output (both strings empty):
-/// 2 length prefixes + u64 + 2*i64 + 3*f64 + 2*u8.  The floor for batch
-/// count validation and the per-record cost of uncompressed buffering.
+/// 2 length prefixes + u64 + 2*i64 + 3*f64 + 2*u8.  The per-record cost of
+/// uncompressed buffering.
 inline constexpr std::size_t kRecordWireFixedBytes = 58;
+
+/// The record's canonical layout (records.cpp), run by util::FieldWriter
+/// and util::FieldReader.
+template <class IO>
+void fields(IO& io, ConsumptionRecord& r);
 
 /// Canonical serialization (the byte form committed into blocks).
 [[nodiscard]] chain::RecordBytes serialize_record(const ConsumptionRecord& r);

@@ -1,25 +1,36 @@
 #include "util/bytes.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace emon::util {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-  buf_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+namespace {
+
+/// The little-endian bytes of `v`.
+template <class T>
+std::array<std::uint8_t, sizeof(T)> le_bytes(T v) {
+  std::array<std::uint8_t, sizeof(T)> bytes{};
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return bytes;
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
+template <class T>
+void append_le(std::vector<std::uint8_t>& buf, T v) {
+  const auto bytes = le_bytes(v);
+  buf.insert(buf.end(), bytes.begin(), bytes.end());
 }
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
-}
+}  // namespace
+
+void ByteWriter::u16(std::uint16_t v) { append_le(buf_, v); }
+
+void ByteWriter::u32(std::uint32_t v) { append_le(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { append_le(buf_, v); }
 
 void ByteWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -30,13 +41,17 @@ void ByteWriter::f64(double v) {
 
 void ByteWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  for (char c : s) {
-    buf_.push_back(static_cast<std::uint8_t>(c));
-  }
+  buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
 void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
+void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
+  const auto bytes = le_bytes(v);
+  std::copy(bytes.begin(), bytes.end(),
+            buf_.begin() + static_cast<std::ptrdiff_t>(at));
 }
 
 void ByteWriter::varint(std::uint64_t v) {
@@ -110,15 +125,15 @@ std::string ByteReader::str() {
 }
 
 std::vector<std::uint8_t> ByteReader::raw(std::size_t n) {
+  const auto bytes = view(n);
+  return {bytes.begin(), bytes.end()};
+}
+
+std::span<const std::uint8_t> ByteReader::view(std::size_t n) {
   require(n);
-  if (n == 0) {
-    return {};
-  }
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() +
-                                    static_cast<std::ptrdiff_t>(pos_ + n));
+  const auto bytes = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return bytes;
 }
 
 std::optional<std::uint16_t> ByteReader::try_u16() noexcept {

@@ -33,12 +33,22 @@ ConsumptionRecord sample_record(std::uint64_t seq) {
   return r;
 }
 
+/// `frame` must fail its body codec with a detail containing `what`.
+void expect_malformed(const std::vector<std::uint8_t>& frame,
+                      std::string_view what) {
+  const auto decoded = decode_any(frame);
+  ASSERT_FALSE(decoded.ok()) << what;
+  EXPECT_EQ(decoded.failure().fault, DecodeFault::kMalformedPayload) << what;
+  EXPECT_NE(decoded.failure().detail.find(what), std::string::npos)
+      << decoded.failure().detail;
+}
+
 template <typename M>
 M roundtrip(const M& m) {
   const auto frame = seal(m);
   auto decoded = decode_any(frame);
   EXPECT_TRUE(decoded.ok());
-  EXPECT_EQ(msg_type_of(decoded.value()), kMsgTypeFor<M>);
+  EXPECT_EQ(msg_type_of(decoded.value()), M::kType);
   return std::get<M>(decoded.value());
 }
 
@@ -363,7 +373,8 @@ TEST(Malformed, CorruptPayloadIsTypedError) {
         MsgType::kTransferMembership, MsgType::kRemoveDevice,
         MsgType::kChainBlock, MsgType::kSubscribeRequest,
         MsgType::kSubscribeAck, MsgType::kRollupPush,
-        MsgType::kUnsubscribe}) {
+        MsgType::kUnsubscribe, MsgType::kStatsRequest,
+        MsgType::kStatsResponse}) {
     const auto frame =
         seal(type, std::span<const std::uint8_t>(garbage));
     auto decoded = decode_any(frame);
@@ -378,7 +389,7 @@ TEST(Malformed, PayloadTruncatedAtFieldBoundaries) {
   // Cut a Report's payload at every byte (keeping the header consistent):
   // the codec hits a different field boundary at each length and must
   // always surface kMalformedPayload.
-  const auto payload = encode(Report{"dev-1", {sample_record(1)}});
+  const auto payload = util::to_bytes(Report{"dev-1", {sample_record(1)}});
   for (std::size_t len = 0; len < payload.size(); ++len) {
     const auto frame = seal(
         MsgType::kReport, std::span<const std::uint8_t>(payload.data(), len));
@@ -398,7 +409,7 @@ TEST(Malformed, SubscribeRequestPayloadTruncatedAtFieldBoundaries) {
   m.network = "wan-0";
   m.stored_offline = true;
   m.include_per_device = true;
-  const auto payload = encode(m);
+  const auto payload = util::to_bytes(m);
   for (std::size_t len = 0; len < payload.size(); ++len) {
     const auto frame =
         seal(MsgType::kSubscribeRequest,
@@ -419,7 +430,7 @@ TEST(Malformed, RollupPushPayloadTruncatedAtFieldBoundaries) {
   m.merged = sample_aggregate();
   m.breakdown = {{"wan-0", 3, 0.5}};
   m.per_device = {{"dev-1", sample_aggregate()}};
-  const auto payload = encode(m);
+  const auto payload = util::to_bytes(m);
   for (std::size_t len = 0; len < payload.size(); ++len) {
     const auto frame = seal(MsgType::kRollupPush,
                             std::span<const std::uint8_t>(payload.data(), len));
@@ -455,6 +466,94 @@ TEST(Malformed, NonBooleanFlagByteRejected) {
   auto req_decoded = decode_any(req_frame);
   ASSERT_FALSE(req_decoded.ok());
   EXPECT_EQ(req_decoded.failure().fault, DecodeFault::kMalformedPayload);
+
+  // A verify_device response's `known` byte follows the device id.
+  auto known = seal(VerifyDeviceResponse{"d", true, "a"});
+  ASSERT_EQ(known[kHeaderSize + 5], 0x01);
+  known[kHeaderSize + 5] = 0x07;
+  expect_malformed(known, "flag byte 7");
+
+  // A record's stored_offline flag is the last byte of a one-record report.
+  auto offline = seal(Report{"dev-1", {sample_record(1)}});
+  ASSERT_EQ(offline.back(), 0x01);
+  offline.back() = 0x02;
+  expect_malformed(offline, "flag byte 2");
+}
+
+TEST(Malformed, OutOfRangeEnumerationRejected) {
+  // A ctrl message's membership byte sits after the type byte and two
+  // strings; 0x03 used to be read as temporary through `& 1`.
+  CtrlMessage ctrl;
+  ctrl.device_id = "d";
+  ctrl.assigned_addr = "a";
+  ctrl.membership = MembershipKind::kTemporary;
+  auto frame = seal(ctrl);
+  const std::size_t at = kHeaderSize + 1 + 5 + 5;
+  ASSERT_EQ(frame[at], 0x01);
+  frame[at] = 0x03;
+  expect_malformed(frame, "out of range");
+}
+
+TEST(Malformed, AbsentOptionalMustCarryDefault) {
+  // Layout tail: has_network, network, has_offline, offline,
+  // include_per_device.  An absent field's value must be the default.
+  SubscribeRequest req;
+  req.client_id = "d";
+  auto frame = seal(req);
+  ASSERT_EQ(frame.size(), kHeaderSize + 5 + 8 + 4 + 24 + 1 + 4 + 3);
+  auto offline = frame;
+  offline[offline.size() - 2] = 0x01;  // absent stored_offline, value 1
+  expect_malformed(offline, "absent optional");
+
+  // An absent network followed by a non-empty string.
+  SubscribeRequest named = req;
+  named.network = "wan-0";
+  auto network = seal(named);
+  network[kHeaderSize + 5 + 8 + 4 + 24] = 0x00;  // clear has_network
+  expect_malformed(network, "absent optional");
+}
+
+TEST(Malformed, OverLongVarintRejected) {
+  // A stats response whose one counter value is 0 written as 0x80 0x00.
+  util::ByteWriter w;
+  w.u64(1);
+  w.str("agg");
+  w.i64(0);
+  w.u32(1);
+  w.str("c");
+  w.u8(0x80);
+  w.u8(0x00);
+  w.u32(0);
+  w.u32(0);
+  expect_malformed(seal(MsgType::kStatsResponse, w.bytes()), "over-long");
+}
+
+TEST(Malformed, TrailingPayloadByteRejected) {
+  // The header's length covers the extra byte, so only the body codec can
+  // see it: every type must consume its payload exactly.
+  for (const auto& m : std::vector<Message>{
+           Beacon{"agg-1", 1}, RegisterRequest{"d", "a"},
+           Report{"d", {sample_record(1)}}, SubscribeAck{1, true, 2, ""}}) {
+    auto payload = seal(m);
+    payload.erase(payload.begin(),
+                  payload.begin() + static_cast<std::ptrdiff_t>(kHeaderSize));
+    payload.push_back(0x00);
+    expect_malformed(seal(msg_type_of(m), payload), "trailing");
+  }
+}
+
+TEST(Malformed, HugeChainBlockCountIsBoundedByTheBytesPresent) {
+  // A block header and then a record count of 0xFFFFFFFF: the count must be
+  // refused against the bytes left, not reserved (~100 GB) first.
+  util::ByteWriter w;
+  w.raw(chain::serialize_header(chain::BlockHeader{}));
+  w.u32(0xFFFFFFFF);
+  const auto decoded = decode_any(seal(MsgType::kChainBlock, w.bytes()));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.failure().fault, DecodeFault::kMalformedPayload);
+  EXPECT_NE(decoded.failure().detail.find("count 4294967295"),
+            std::string::npos)
+      << decoded.failure().detail;
 }
 
 TEST(Malformed, OversizedLengthPrefixInsidePayload) {
