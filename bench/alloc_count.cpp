@@ -129,10 +129,15 @@ int main(int argc, char** argv) {
   store::Tsdb tsdb(opt);
   store::RollupEngine rollups(tsdb);
   tsdb.set_ingest_hook(&rollups);
+  // A tumbling hour and a 2 h / 1 h sliding rollup: every record lands in
+  // pane 0 of both, and no window closes mid-run.
   store::RollupSpec spec;
-  spec.window_ns = 3'600'000'000'000;  // tumbling hour: no closes mid-run
+  spec.window_ns = 3'600'000'000'000;
   spec.slide_ns = 3'600'000'000'000;
   (void)rollups.register_rollup(spec);
+  store::RollupSpec sliding = spec;
+  sliding.window_ns = 2 * spec.slide_ns;
+  (void)rollups.register_rollup(sliding);
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t cold_allocs =

@@ -105,7 +105,6 @@ std::string to_hex(std::uint32_t v) {
 
 /// Validated header fields plus a view of the payload (no copy).
 struct HeaderView {
-  std::uint8_t version = kProtocolVersion;
   MsgType type = MsgType::kRegisterRequest;
   std::span<const std::uint8_t> payload;
 };
@@ -124,10 +123,10 @@ Result<HeaderView> parse_header(std::span<const std::uint8_t> frame) {
   if (*magic != kMagic) {
     return DecodeFailure{DecodeFault::kBadMagic, "magic " + to_hex(*magic)};
   }
-  if (*version > kProtocolVersion) {
+  if (*version != kProtocolVersion) {
     return DecodeFailure{DecodeFault::kUnsupportedVersion,
                          "version " + std::to_string(*version) +
-                             " > supported " +
+                             " != supported " +
                              std::to_string(kProtocolVersion)};
   }
   if (!is_known_msg_type(*type)) {
@@ -140,7 +139,6 @@ Result<HeaderView> parse_header(std::span<const std::uint8_t> frame) {
                              std::to_string(r.remaining()) + " present"};
   }
   HeaderView view;
-  view.version = *version;
   view.type = static_cast<MsgType>(*type);
   view.payload = frame.subspan(kHeaderSize);
   return view;
@@ -154,7 +152,6 @@ Result<Envelope> open(std::span<const std::uint8_t> frame) {
     return parsed.failure();
   }
   Envelope env;
-  env.version = parsed.value().version;
   env.type = parsed.value().type;
   env.payload.assign(parsed.value().payload.begin(),
                      parsed.value().payload.end());

@@ -10,7 +10,7 @@
 //
 // `seal()` wraps a typed message into a frame; `decode_any()` parses a frame
 // into a `Message` variant or a typed `DecodeFailure` — malformed input
-// (truncated, corrupted, bad magic, future version) always yields an error
+// (truncated, corrupted, bad magic, unknown version) always yields an error
 // value, never undefined behaviour and never an uncaught exception.  Callers
 // dispatch with `std::visit` (see `Overload`) instead of switching on topic
 // or kind strings.
@@ -86,7 +86,7 @@ template <typename M>
 enum class DecodeFault : std::uint8_t {
   kTruncatedHeader,      // fewer than kHeaderSize bytes
   kBadMagic,             // first two bytes are not kMagic
-  kUnsupportedVersion,   // version newer than kProtocolVersion
+  kUnsupportedVersion,   // version other than kProtocolVersion
   kUnknownType,          // type byte outside the MsgType enum
   kLengthMismatch,       // declared payload length != bytes present
   kMalformedPayload,     // header fine, body failed its codec
@@ -121,7 +121,6 @@ class [[nodiscard]] Result {
 
 /// A parsed frame header plus its (still encoded) payload.
 struct Envelope {
-  std::uint8_t version = kProtocolVersion;
   MsgType type = MsgType::kRegisterRequest;
   std::vector<std::uint8_t> payload;
 

@@ -16,8 +16,11 @@ namespace {
 constexpr std::int64_t kMaxHorizonNs = std::int64_t{1} << 61;
 /// Ceiling on window width / slide / lateness so E + W + L stays bounded.
 constexpr std::int64_t kMaxGeometryNs = std::int64_t{1} << 55;
-/// Ceiling on ring slots per series ((W + L) / S + slack).
-constexpr std::int64_t kMaxPanes = std::int64_t{1} << 20;
+/// Ceiling on ring slots per series ((W + L) / S + slack).  Each slot costs
+/// one 64-byte line per series, and a window close reads W/S of them per
+/// series, so this bounds both what one subscribe request can claim and the
+/// fold; it still admits a 1 h window on a 1 min slide.
+constexpr std::int64_t kMaxPanes = 64;
 /// One watermark jump may close at most this many windows; older ones are
 /// skipped (counted) instead of flooding memory with a window per slide.
 constexpr std::int64_t kMaxWindowsPerDrain = 1024;
@@ -103,7 +106,7 @@ struct NetPane {
 }  // namespace
 
 /// Pane partial aggregate in the quantized integer domain (the lifted
-/// element of the two-stacks fold).  Integer sums/min/max commute, which is
+/// element a window combines).  Integer sums/min/max commute, which is
 /// what makes maintained answers bit-identical to cold re-folds.  Network
 /// subtotals are *not* kept here — they live in the rollup-global NetPane
 /// ring (the breakdown is merged across devices anyway) — so this struct
@@ -195,28 +198,7 @@ struct alignas(64) RollupEngine::Pane {
   PanePartial partial;
 };
 
-struct RollupEngine::SeriesState {
-  /// Copied once at first touch — fold results need the id, and the engine
-  /// must not dangle into store internals.
-  DeviceId device;
-  // Two-stacks FIFO over pane sequences [fifo_begin, fifo_end):
-  //   front: suffix partials of [fifo_begin, flip_end), oldest at back()
-  //   back_agg: running partial of [flip_end, fifo_end)
-  // so the window query is combine(front.back(), back_agg) — O(1); a flip
-  // re-folds the span from the ring once per W/S evictions.  Unused by
-  // tumbling rollups (the window is its single pane).
-  std::int64_t fifo_begin = 0;
-  std::int64_t fifo_end = 0;
-  std::int64_t flip_end = 0;
-  bool fifo_init = false;
-  /// A late record patched a pane already folded into the stacks; the next
-  /// window query rebuilds this series from the ring.
-  bool dirty = false;
-  std::vector<PanePartial> front;
-  PanePartial back_agg;
-};
-
-/// Shard-local state: series headers in creation order plus one flat pane
+/// Shard-local state: series device ids in creation order plus one flat pane
 /// arena.  The arena is *slot-major* — pane slot s of series i lives at
 /// panes[s * stride + i] — because fleet ingest arrives round-robin across
 /// devices inside a pane: consecutive records then walk consecutive arena
@@ -225,7 +207,9 @@ struct RollupEngine::SeriesState {
 /// is the series capacity, grown geometrically with an O(arena) re-layout
 /// (amortized constant per series, quiet after the fleet's first round).
 struct RollupEngine::ShardState {
-  std::vector<SeriesState> series;
+  /// Copied once at first touch — fold results need the id, and the engine
+  /// must not dangle into store internals.
+  std::vector<DeviceId> devices;
   std::vector<Pane> panes;
   std::size_t stride = 0;
   /// Per-series window-fold results, one slot per series (count == 0 means
@@ -284,7 +268,6 @@ struct RollupEngine::Rollup {
   std::vector<ClosedWindow> pending;
   RollupStats stats;
   std::int64_t cap = 0;  // ring slots per series, power of two
-  std::int64_t panes_per_window = 0;
 
   [[nodiscard]] std::int64_t pane_of(std::int64_t ts_ns) const noexcept {
     return floor_div(ts_ns - spec.anchor_ns, spec.slide_ns);
@@ -331,10 +314,9 @@ struct RollupEngine::Rollup {
 
   std::uint32_t create_series(std::size_t shard, const DeviceId& device) {
     ShardState& s = shards[shard];
-    s.series.emplace_back();
-    s.series.back().device = device;
+    s.devices.push_back(device);
     sorted_stale = true;
-    if (s.series.size() > s.stride) {
+    if (s.devices.size() > s.stride) {
       const std::size_t new_stride = std::max<std::size_t>(s.stride * 2, 16);
       std::vector<Pane> grown(static_cast<std::size_t>(cap) * new_stride);
       for (std::size_t slot = 0; slot < static_cast<std::size_t>(cap);
@@ -346,15 +328,7 @@ struct RollupEngine::Rollup {
       s.panes = std::move(grown);
       s.stride = new_stride;
     }
-    return static_cast<std::uint32_t>(s.series.size() - 1);
-  }
-
-  /// The pane's partial, or nullptr while the pane holds no data.
-  [[nodiscard]] const PanePartial* pane_at(const ShardState& s,
-                                           std::size_t idx,
-                                           std::int64_t pane) const {
-    const Pane& p = s.panes[slot_of(pane) * s.stride + idx];
-    return (p.seq == pane && p.partial.count > 0) ? &p.partial : nullptr;
+    return static_cast<std::uint32_t>(s.devices.size() - 1);
   }
 
   [[nodiscard]] std::uint32_t intern(const NetworkId& network) {
@@ -425,13 +399,6 @@ struct RollupEngine::Rollup {
       np.reset(pane);
     }
     np.add(net_of(cellw, record.network), q_energy);
-    if (panes_per_window > 1) {
-      SeriesState& series = ss.series[idx];
-      if (series.fifo_init && pane < series.fifo_end && !series.dirty) {
-        series.dirty = true;
-        ++stats.pane_patches;
-      }
-    }
     ++stats.records_folded;
     return true;
   }
@@ -502,7 +469,6 @@ std::uint64_t RollupEngine::register_rollup(RollupSpec spec) {
       r->devices_sorted.end());
   r->shards.resize(tsdb_->shard_count());
   r->cells.assign(tsdb_->series_total(), kCellUnset);
-  r->panes_per_window = r->spec.window_ns / r->spec.slide_ns;
   // Power-of-two ring so the hot-path slot is a mask, not a modulo.
   r->cap = static_cast<std::int64_t>(std::bit_ceil(static_cast<std::uint64_t>(
       (r->spec.window_ns + r->spec.lateness_ns) / r->spec.slide_ns + 4)));
@@ -573,18 +539,20 @@ void RollupEngine::on_ingest(const ConsumptionRecord& record,
     if (!r.spec.filter.matches(record)) {
       continue;
     }
-    const std::int64_t e_last =
-        pane * r.spec.slide_ns + r.spec.anchor_ns + r.spec.window_ns;
-    if (r.has_next_close && e_last < r.next_close_e) {
+    const std::int64_t pane_t0 = pane * r.spec.slide_ns + r.spec.anchor_ns;
+    if (r.has_next_close && pane_t0 + r.spec.window_ns < r.next_close_e) {
       // Every window containing this record was already emitted: beyond the
       // lateness horizon, cold queries remain the exact path.
       drop_late(r, record);
       continue;
     }
-    if (r.fold_record(shard, cellw, pane, record)) {
-      records_folded_.inc();
-    } else {
+    if (!r.fold_record(shard, cellw, pane, record)) {
       drop_late(r, record);  // stale-slot defensive drop
+      continue;
+    }
+    records_folded_.inc();
+    if (pane_t0 + r.spec.slide_ns < r.next_close_e) {
+      ++r.stats.pane_patches;  // an emitted (sliding) window covered this pane
     }
   }
 }
@@ -632,7 +600,7 @@ void RollupEngine::drain_closes(Rollup& r, const QueryPool* pool) {
     ++r.stats.windows_closed;
     windows_closed_.inc();
     r.next_close_e += r.spec.slide_ns;
-    if (!window.empty() || r.spec.emit_empty) {
+    if (!window.empty()) {
       r.pending.push_back(std::move(window));
     }
   }
@@ -646,87 +614,23 @@ ClosedWindow RollupEngine::fold_window(Rollup& r, std::int64_t end_ns,
   out.t0_ns = end_ns - r.spec.window_ns;
   out.t1_ns = end_ns;
   const std::int64_t tb = r.pane_of(out.t0_ns);
-  const std::int64_t te = tb + r.panes_per_window;
+  const std::int64_t te = r.pane_of(end_ns);
 
   // Workers write only their own shard's scratch; the caller merges in the
-  // rollup's cached device order.
+  // rollup's cached device order.  Each pane is one contiguous row of the
+  // slot-major arena; a slot counts only while it still holds that pane.
   const std::size_t shards = r.shards.size();
-  std::vector<std::uint64_t> rebuilds(shards, 0);
   const auto fold_shard = [&](std::size_t s) {
     ShardState& ss = r.shards[s];
-    ss.scratch.assign(ss.series.size(), PanePartial{});
-    if (r.panes_per_window == 1) {
-      // Tumbling fast path: the window *is* its single pane, so the
-      // two-stacks FIFO would only copy the partial around — read the ring
-      // directly.  (Late in-horizon folds land in the pane before its
-      // window closes, so no dirty/rebuild bookkeeping applies either.)
-      for (std::size_t i = 0; i < ss.series.size(); ++i) {
-        if (const PanePartial* p = r.pane_at(ss, i, tb)) {
-          ss.scratch[i] = *p;
+    ss.scratch.assign(ss.devices.size(), PanePartial{});
+    for (std::int64_t pane = tb; pane < te; ++pane) {
+      const std::size_t row = r.slot_of(pane) * ss.stride;
+      for (std::size_t i = 0; i < ss.devices.size(); ++i) {
+        const Pane& p = ss.panes[row + i];
+        if (p.seq == pane) {
+          ss.scratch[i].combine_from(p.partial);
         }
       }
-      return;
-    }
-    for (std::size_t i = 0; i < ss.series.size(); ++i) {
-      SeriesState& series = ss.series[i];
-      if (!series.fifo_init || series.fifo_end < tb || series.fifo_begin > tb) {
-        // First window for this series, or the span jumped past the whole
-        // FIFO: restart it empty at tb.
-        series.fifo_begin = tb;
-        series.fifo_end = tb;
-        series.flip_end = tb;
-        series.front.clear();
-        series.back_agg = PanePartial{};
-        series.fifo_init = true;
-        series.dirty = false;
-      }
-      // Insert panes [fifo_end, te) into the back stack.
-      for (std::int64_t pane = series.fifo_end; pane < te; ++pane) {
-        if (const PanePartial* p = r.pane_at(ss, i, pane)) {
-          series.back_agg.combine_from(*p);
-        }
-      }
-      series.fifo_end = te;
-      if (series.dirty) {
-        // A late record patched a pane inside the stacks: re-fold the whole
-        // span from the ring (one full flip).
-        series.front.clear();
-        PanePartial acc;
-        for (std::int64_t pane = te - 1; pane >= tb; --pane) {
-          if (const PanePartial* p = r.pane_at(ss, i, pane)) {
-            acc.combine_from(*p);
-          }
-          series.front.push_back(acc);
-        }
-        series.fifo_begin = tb;
-        series.flip_end = te;
-        series.back_agg = PanePartial{};
-        series.dirty = false;
-        ++rebuilds[s];
-      } else {
-        // Evict panes [fifo_begin, tb) off the front stack.
-        while (series.fifo_begin < tb) {
-          if (series.front.empty()) {
-            // Flip: the back span becomes the new front suffix stack.
-            PanePartial acc;
-            for (std::int64_t pane = series.fifo_end - 1;
-                 pane >= series.fifo_begin; --pane) {
-              if (const PanePartial* p = r.pane_at(ss, i, pane)) {
-                acc.combine_from(*p);
-              }
-              series.front.push_back(acc);
-            }
-            series.flip_end = series.fifo_end;
-            series.back_agg = PanePartial{};
-          }
-          series.front.pop_back();
-          ++series.fifo_begin;
-        }
-      }
-      PanePartial result = series.front.empty() ? PanePartial{}
-                                                : series.front.back();
-      result.combine_from(series.back_agg);
-      ss.scratch[i] = result;
     }
   };
   if (pool != nullptr) {
@@ -736,23 +640,20 @@ ClosedWindow RollupEngine::fold_window(Rollup& r, std::int64_t end_ns,
       fold_shard(s);
     }
   }
-  for (const std::uint64_t n : rebuilds) {
-    r.stats.window_rebuilds += n;
-  }
 
   if (r.sorted_stale) {
     r.sorted_series.clear();
     r.sorted_series.reserve(r.cells.size());
     for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t i = 0; i < r.shards[s].series.size(); ++i) {
+      for (std::size_t i = 0; i < r.shards[s].devices.size(); ++i) {
         r.sorted_series.emplace_back(static_cast<std::uint32_t>(s),
                                      static_cast<std::uint32_t>(i));
       }
     }
     std::sort(r.sorted_series.begin(), r.sorted_series.end(),
               [&r](const auto& a, const auto& b) {
-                return r.shards[a.first].series[a.second].device <
-                       r.shards[b.first].series[b.second].device;
+                return r.shards[a.first].devices[a.second] <
+                       r.shards[b.first].devices[b.second];
               });
     r.sorted_stale = false;
   }
@@ -766,7 +667,7 @@ ClosedWindow RollupEngine::fold_window(Rollup& r, std::int64_t end_ns,
     }
     DeviceAggregate agg = partial.lower();
     merge_aggregate(out.merged, agg);
-    out.per_device.emplace_back(r.shards[s].series[i].device, agg);
+    out.per_device.emplace_back(r.shards[s].devices[i], agg);
   }
 
   // Per-network breakdown from the rollup-global net ring: fleet-wide

@@ -5,26 +5,26 @@
 // same sealed segments on every poll.  Point-in-time reads (verification
 // windows, billing, dashboards) go through store::QueryEngine instead.
 //
-// Model — panes + two-stacks (DABA-Lite-style) window fold:
+// Model — panes, combined directly at each close:
 //   * Event time is cut into panes of `slide_ns` anchored at `anchor_ns`.
 //     Every accepted record lifts into its pane's partial aggregate
 //     (quantized integer sums/min/max), so pane maintenance is O(1) per
 //     record and order-independent: the partial a pane holds is
 //     bit-identical whatever order its records arrived in.
-//   * A window [E - W, E) is the combine of W/S consecutive panes.  Each
-//     series keeps the classic two-stacks FIFO over its pane ring: evict,
-//     insert and query are amortized O(1) per pane (a flip re-folds at most
-//     W/S panes, once per W/S evictions) — the lift/combine/lower shape of
-//     DABA-Lite, with panes as the lifted elements.  Tumbling rollups
-//     (W == S, the dashboard default) skip the FIFO entirely: the window
-//     *is* its single pane.
+//   * A window [E - W, E) is the combine of its W/S consecutive panes,
+//     read straight from the pane ring when the window closes: O(W/S) pane
+//     reads per series per close, one loop for tumbling (W == S, the
+//     dashboard default) and sliding windows alike.  Ring slots per series
+//     are capped at 64 ((W + L) / S + 4 <= 64), which bounds both a
+//     rollup's memory (4 KB per series) and the fold.
 //   * Windows close on the watermark (max ingested record timestamp — the
 //     engine is ingest-driven, no wall clock): [E - W, E) closes once the
 //     watermark passes E + lateness.  Late/out-of-order records whose last
-//     containing window has not been emitted patch their pane (marking the
-//     affected series dirty for an O(W/S) rebuild at the next fold); records
-//     later than that are counted and dropped — the cold Tsdb query path
-//     still has them, so exact answers remain available.
+//     containing window has not been emitted still fold into their pane;
+//     when an emitted window already covered that pane (possible only when
+//     sliding), the fold counts as a pane patch (RollupStats::pane_patches).
+//     Records later than that are counted and dropped — the cold Tsdb query
+//     path still has them, so exact answers remain available.
 //
 // Bit-parity contract (pinned by tests/test_rollup.cpp): a ClosedWindow's
 // per-device aggregates and their merge are bit-identical to
@@ -38,7 +38,8 @@
 // its panes in one flat slot-major arena (pane slot s of series i lives at
 // s*stride + i, so a fleet reporting round-robin inside a pane walks
 // consecutive 64-byte lines the stream prefetcher hides) — no device-id
-// hashing or pointer chains per record.
+// hashing or pointer chains per record; a window close reads each of its
+// panes as one contiguous row of that arena.
 // Per-network subtotals (the emitted breakdown is merged across devices)
 // live off the per-series line, in one rollup-global pane ring whose slot
 // is shared by every device in a pane — a few hundred bytes that stay
@@ -89,9 +90,6 @@ struct RollupSpec {
   /// Devices to maintain; empty = every device the store ingests.
   std::vector<DeviceId> devices;
   RecordFilter filter;
-  /// Emit windows with no matching records (useful for differential
-  /// tests); off by default so idle fleets do not flood subscribers.
-  bool emit_empty = false;
 
   [[nodiscard]] bool valid() const noexcept;
   friend bool operator==(const RollupSpec&, const RollupSpec&) = default;
@@ -122,10 +120,10 @@ struct RollupStats {
   std::uint64_t late_stored_offline = 0;
   std::uint64_t late_temporary = 0;
   std::uint64_t late_other = 0;
-  /// Out-of-order folds into a pane already inside a series' window fold
-  /// (each forces one O(W/S) rebuild of that series at the next close).
+  /// Live folds into a pane that an already-emitted window covered: the
+  /// record still reaches the later windows containing its pane, but not
+  /// the emitted ones.  Always 0 for tumbling rollups; backfill counts none.
   std::uint64_t pane_patches = 0;
-  std::uint64_t window_rebuilds = 0;
   std::uint64_t windows_closed = 0;
   /// Windows skipped by the runaway-gap guard (watermark jumped more than
   /// kMaxWindowsPerDrain slides at once; skipped spans stay cold-queryable).
@@ -166,7 +164,8 @@ class RollupEngine final : public Tsdb::IngestHook {
       EMON_HOT;
 
   /// Emits every window closeable at the current watermark (plus any
-  /// force-drained backlog), oldest first.  With a pool, per-shard series
+  /// force-drained backlog), oldest first; a window with no matching
+  /// records is closed but not emitted.  With a pool, per-shard series
   /// folds run on the pool's workers (disjoint shards, merge on the
   /// caller) — results are bit-identical for any worker count.
   [[nodiscard]] std::vector<ClosedWindow> drain(
@@ -185,7 +184,6 @@ class RollupEngine final : public Tsdb::IngestHook {
  private:
   struct PanePartial;
   struct Pane;
-  struct SeriesState;
   struct ShardState;
   struct Rollup;
 

@@ -77,7 +77,6 @@ TEST(Envelope, OpenExposesHeaderWithoutBodyDecode) {
       seal(MsgType::kReport, std::span<const std::uint8_t>(payload));
   auto opened = open(frame);
   ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened.value().version, kProtocolVersion);
   EXPECT_EQ(opened.value().type, MsgType::kReport);
   EXPECT_EQ(opened.value().payload, payload);
   EXPECT_EQ(opened.value().frame_size(), frame.size());
@@ -344,6 +343,17 @@ TEST(Malformed, FutureVersionRejected) {
   auto decoded = decode_any(frame);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.failure().fault, DecodeFault::kUnsupportedVersion);
+}
+
+TEST(Malformed, VersionZeroRejected) {
+  // No peer sends version 0; accepting it would give one message a second
+  // accepted encoding.
+  auto frame = seal(Beacon{"agg-1", 1});
+  frame[2] = 0;
+  auto decoded = decode_any(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.failure().fault, DecodeFault::kUnsupportedVersion);
+  EXPECT_FALSE(open(frame).ok());
 }
 
 TEST(Malformed, UnknownTypeRejected) {

@@ -65,12 +65,16 @@ TEST(HotAllocHarness, SteadyStateIngestAllocatesNothing) {
   RollupEngine rollups(tsdb);
   tsdb.set_ingest_hook(&rollups);
 
-  // One tumbling-hour rollup: every record of the run lands in pane 0, so
-  // no window closes (and no ClosedWindow materializes) mid-measurement.
+  // A tumbling-hour rollup and a 2 h / 1 h sliding one, so both serve
+  // rollup shapes fold every record: it lands in pane 0, and no window
+  // closes (no ClosedWindow materializes) mid-measurement.
   RollupSpec spec;
   spec.window_ns = 3'600'000'000'000;
   spec.slide_ns = 3'600'000'000'000;
   (void)rollups.register_rollup(spec);
+  RollupSpec sliding = spec;
+  sliding.window_ns = 2 * spec.slide_ns;
+  (void)rollups.register_rollup(sliding);
 
   // Warmup: past every capacity knee (see header comment).
   for (std::uint64_t seq = 1; seq <= kWarmupPerDevice; ++seq) {

@@ -11,6 +11,8 @@
 //   * mid-stream registration backfill, pool-parallel drain determinism
 //   * seeded out-of-order ingest fuzz with drains interleaved
 //   * beyond-horizon late records: counted, dropped to the cold path
+//   * late folds into a pane an emitted window covered: counted as pane
+//     patches, later windows still exact
 //   * subscribe/ack/push/unsubscribe over a real broker + client pair,
 //     rollup sharing, re-subscribe, rejects, malformed frames
 //   * broker fan-out batching (one wire frame, N recipients)
@@ -247,6 +249,20 @@ TEST(RollupSpec, InvalidSpecsRejected) {
   far_anchor.anchor_ns = std::int64_t{1} << 62;
   EXPECT_THROW(engine.register_rollup(far_anchor), std::invalid_argument);
 
+  // 65,536 one-second panes per window: a ring of that many 64-byte slots
+  // per series is memory one subscribe request must not be able to claim.
+  RollupSpec wide;
+  wide.window_ns = 65'536 * kSecond;
+  wide.slide_ns = kSecond;
+  EXPECT_FALSE(wide.valid());
+  EXPECT_THROW(engine.register_rollup(wide), std::invalid_argument);
+
+  // The widest ring still admitted: a 1 h window on a 1 min slide.
+  RollupSpec hour;
+  hour.window_ns = 3600 * kSecond;
+  hour.slide_ns = 60 * kSecond;
+  EXPECT_TRUE(hour.valid());
+
   EXPECT_EQ(engine.rollup_count(), 0u);
 }
 
@@ -444,9 +460,9 @@ TEST(RollupDifferential, PoolDrainBitIdenticalToSequential) {
   }
 }
 
-TEST(RollupDifferential, EmptyWindowSuppressionAndEmitEmpty) {
-  // A 5 s silence in the stream: default specs skip the idle windows,
-  // emit_empty specs materialize them as zero-count windows.
+TEST(RollupDifferential, EmptyWindowsAreSuppressed) {
+  // A 5 s silence in the stream: the windows inside it close but are not
+  // emitted, so idle fleets do not flood subscribers.
   std::vector<ConsumptionRecord> records;
   auto early = device_stream("dev-1", 20, 5, "wan-0", "wan-1", 0);
   auto late = device_stream("dev-1", 20, 6, "wan-0", "wan-1", 8 * kSecond);
@@ -466,28 +482,19 @@ TEST(RollupDifferential, EmptyWindowSuppressionAndEmitEmpty) {
   quiet.lateness_ns = 0;
   const std::uint64_t quiet_id = rollups.register_rollup(quiet);
 
-  RollupSpec chatty = quiet;
-  chatty.emit_empty = true;
-  const std::uint64_t chatty_id = rollups.register_rollup(chatty);
-
   ingest_all(db, records);
   db.ingest(watermark_record(20 * kSecond));
 
   const auto suppressed = rollups.drain(quiet_id);
-  const auto emitted = rollups.drain(chatty_id);
+  ASSERT_FALSE(suppressed.empty());
+  EXPECT_LE(suppressed.front().t1_ns, 2 * kSecond);
+  EXPECT_GE(suppressed.back().t0_ns, 8 * kSecond);
   for (const auto& w : suppressed) {
     EXPECT_FALSE(w.empty());
+    EXPECT_FALSE(w.t0_ns >= 3 * kSecond && w.t1_ns <= 8 * kSecond)
+        << "window [" << w.t0_ns << ", " << w.t1_ns << ") inside the silence";
   }
-  EXPECT_GT(emitted.size(), suppressed.size());
-  bool saw_empty = false;
-  for (const auto& w : emitted) {
-    if (w.empty()) {
-      saw_empty = true;
-      EXPECT_EQ(w.merged.count, 0u);
-      EXPECT_TRUE(w.breakdown.empty());
-    }
-  }
-  EXPECT_TRUE(saw_empty);
+  EXPECT_GT(rollups.stats(quiet_id)->windows_closed, suppressed.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -675,6 +682,77 @@ TEST(RollupLateness, BeyondHorizonRecordFallsToColdPath) {
   q.t0_ns = first.t0_ns;
   q.t1_ns = first.t1_ns;
   EXPECT_EQ(engine.aggregate(q).merged.count, emitted_count + 1);
+}
+
+TEST(RollupLateness, PatchIntoAnEmittedPaneIsCountedAndLaterWindowsStayExact) {
+  // A 2 s / 500 ms sliding rollup emits windows up to E = 4.5 s; then a
+  // record at 3.2 s arrives.  Its pane [3.0, 3.5) was covered by the
+  // emitted windows ending 3.5-4.5 s, but the window ending 5.0 s is still
+  // open, so the record folds (a pane patch) and every later window must
+  // still equal the cold query.
+  Tsdb db{TsdbOptions{4, 32}};
+  RollupEngine rollups{db};
+  db.set_ingest_hook(&rollups);
+
+  RollupSpec sliding;
+  sliding.window_ns = 2 * kSecond;
+  sliding.slide_ns = 500 * kMs;
+  sliding.lateness_ns = 0;
+  const std::uint64_t id = rollups.register_rollup(sliding);
+  RollupSpec tumbling = sliding;
+  tumbling.window_ns = tumbling.slide_ns;
+  const std::uint64_t tumbling_id = rollups.register_rollup(tumbling);
+
+  const auto stream = device_stream("dev-1", 100, 7, "wan-0", "wan-1", 0);
+  const std::size_t head = 48;  // through ~4.8 s
+  for (std::size_t i = 0; i < head; ++i) {
+    db.ingest(stream[i]);
+  }
+  const auto before = rollups.drain(id);
+  ASSERT_FALSE(before.empty());
+  EXPECT_EQ(before.back().t1_ns, 4500 * kMs);
+  (void)rollups.drain(tumbling_id);
+
+  ConsumptionRecord late = stream[31];
+  late.sequence = 10'000;
+  late.timestamp_ns = 3200 * kMs;
+  ASSERT_TRUE(db.ingest(late));
+
+  const RollupStats* stats = rollups.stats(id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->pane_patches, 1u);
+  EXPECT_EQ(stats->records_dropped_late, 0u);
+  // Tumbling: the pane's only window was emitted, so the record drops.
+  const RollupStats* tumbling_stats = rollups.stats(tumbling_id);
+  ASSERT_NE(tumbling_stats, nullptr);
+  EXPECT_EQ(tumbling_stats->pane_patches, 0u);
+  EXPECT_EQ(tumbling_stats->records_dropped_late, 1u);
+
+  // A mid-stream registration backfills the patched pane; backfill counts
+  // no patches.
+  const std::uint64_t backfilled_id = rollups.register_rollup(sliding);
+  const RollupStats* backfilled_stats = rollups.stats(backfilled_id);
+  ASSERT_NE(backfilled_stats, nullptr);
+  EXPECT_GT(backfilled_stats->backfilled_records, 0u);
+  EXPECT_EQ(backfilled_stats->pane_patches, 0u);
+
+  for (std::size_t i = head; i < stream.size(); ++i) {
+    db.ingest(stream[i]);
+  }
+  db.ingest(watermark_record(20 * kSecond));
+
+  const QueryEngine engine{db, QueryEngineOptions{1}};
+  for (const std::uint64_t rid : {id, backfilled_id}) {
+    const auto after = rollups.drain(rid);
+    ASSERT_GE(after.size(), 10u);
+    EXPECT_EQ(after.front().t1_ns, 5 * kSecond);
+    for (const auto& w : after) {
+      expect_window_matches_cold(engine, sliding, w, "after patch");
+    }
+  }
+  EXPECT_EQ(stats->pane_patches, 1u);
+  EXPECT_EQ(backfilled_stats->pane_patches, 0u);
+  EXPECT_EQ(tumbling_stats->pane_patches, 0u);
 }
 
 TEST(RollupLateness, LateDropsSplitByCauseInStatsAndScrape) {
@@ -1016,6 +1094,18 @@ TEST_F(SubscriptionFixture, InvalidGeometryRejectedWithReason) {
   ASSERT_EQ(dash.inbox.size(), 2u);
   EXPECT_FALSE(std::get<SubscribeAck>(dash.inbox[1]).accepted);
   EXPECT_EQ(service.stats().subscriptions_rejected, 2u);
+
+  // A 65,536-pane ring: too much memory for one request to claim.
+  req.window_ns = 65'536 * kSecond;
+  req.slide_ns = kSecond;
+  subscribe(dash, req);
+  ASSERT_EQ(dash.inbox.size(), 3u);
+  const auto& wide = std::get<SubscribeAck>(dash.inbox[2]);
+  EXPECT_FALSE(wide.accepted);
+  EXPECT_EQ(wide.reason, "invalid window geometry");
+  EXPECT_EQ(service.stats().subscriptions_rejected, 3u);
+  EXPECT_EQ(service.active_subscriptions(), 0u);
+  EXPECT_EQ(rollups.rollup_count(), 0u);
 }
 
 TEST_F(SubscriptionFixture, MalformedAndUnexpectedFramesCounted) {
