@@ -35,13 +35,15 @@ int main() {
                "aggregator ===\n\n";
 
   // Baseline: the trusted-aggregator hash chain commits instantly (one
-  // append, no messages) — that is the point of §II-A's design choice.
+  // submit and collect, no messages) — that is the point of §II-A's design
+  // choice.
   {
     chain::PermissionedChain chain;
     chain.register_writer({"agg-1", "s"});
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 100; ++i) {
-      chain.append("agg-1", "s", {record_bytes(i)}, i);
+      const auto ticket = chain.submit("agg-1", "s", {record_bytes(i)}, i);
+      (void)chain.collect(ticket, i);
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double us_per_block =

@@ -2,27 +2,33 @@
 
 namespace emon::chain {
 
+ValidationResult check_extends(const ChainTip& tip, const Block& block) {
+  const std::size_t i = tip.height;
+  if (block.header.index != i) {
+    return {false, i,
+            "index mismatch: expected " + std::to_string(i) + ", found " +
+                std::to_string(block.header.index)};
+  }
+  if (block.header.prev_hash != tip.hash) {
+    return {false, i, "prev-hash link broken"};
+  }
+  if (!verify_block_integrity(block)) {
+    return {false, i, "block integrity check failed (records or header)"};
+  }
+  if (block.header.timestamp_ns < tip.timestamp_ns) {
+    return {false, i, "timestamp decreased"};
+  }
+  return {};
+}
+
 ValidationResult verify_chain(const std::vector<Block>& blocks) {
-  Digest expected_prev = zero_digest();
-  std::int64_t last_timestamp = INT64_MIN;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    const Block& block = blocks[i];
-    if (block.header.index != i) {
-      return {false, i,
-              "index mismatch: expected " + std::to_string(i) + ", found " +
-                  std::to_string(block.header.index)};
+  ChainTip tip;
+  for (const Block& block : blocks) {
+    ValidationResult result = check_extends(tip, block);
+    if (!result.ok) {
+      return result;
     }
-    if (block.header.prev_hash != expected_prev) {
-      return {false, i, "prev-hash link broken"};
-    }
-    if (!verify_block_integrity(block)) {
-      return {false, i, "block integrity check failed (records or header)"};
-    }
-    if (block.header.timestamp_ns < last_timestamp) {
-      return {false, i, "timestamp decreased"};
-    }
-    last_timestamp = block.header.timestamp_ns;
-    expected_prev = block.hash;
+    tip.advance(block);
   }
   return {};
 }
@@ -30,30 +36,22 @@ ValidationResult verify_chain(const std::vector<Block>& blocks) {
 const Block& Ledger::append(std::vector<RecordBytes> records,
                             std::int64_t timestamp_ns,
                             const std::string& writer) {
-  Block block = make_block(blocks_.size(), tip_hash_, timestamp_ns, writer,
-                           std::move(records));
-  tip_hash_ = block.hash;
-  blocks_.push_back(std::move(block));
-  return blocks_.back();
+  return push(make_block(tip_.height, tip_.hash, timestamp_ns, writer,
+                         std::move(records)));
 }
 
-bool Ledger::append_external(Block block) {
-  if (block.header.index != blocks_.size()) {
-    return false;
+ValidationResult Ledger::append_external(Block block) {
+  ValidationResult result = check_extends(tip_, block);
+  if (result.ok) {
+    push(std::move(block));
   }
-  if (block.header.prev_hash != tip_hash_) {
-    return false;
-  }
-  if (!verify_block_integrity(block)) {
-    return false;
-  }
-  if (!blocks_.empty() &&
-      block.header.timestamp_ns < blocks_.back().header.timestamp_ns) {
-    return false;
-  }
-  tip_hash_ = block.hash;
+  return result;
+}
+
+const Block& Ledger::push(Block block) {
+  tip_.advance(block);
   blocks_.push_back(std::move(block));
-  return true;
+  return blocks_.back();
 }
 
 ValidationResult Ledger::validate() const { return verify_chain(blocks_); }

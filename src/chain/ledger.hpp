@@ -7,6 +7,7 @@
 // at rest.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,7 @@
 
 namespace emon::chain {
 
-/// Result of validating a chain.
+/// Result of validating a chain or one block against it.
 struct ValidationResult {
   bool ok = true;
   /// Index of the first bad block (when !ok).
@@ -23,8 +24,29 @@ struct ValidationResult {
   std::string reason;
 };
 
-/// Validates an arbitrary block sequence: genesis linkage, monotone indices,
-/// prev-hash links, per-block integrity and non-decreasing timestamps.
+/// Where a chain ends: the next block's index, the hash it must link to
+/// and the earliest timestamp it may carry.
+struct ChainTip {
+  std::size_t height = 0;
+  Digest hash{};  // zero digest before genesis
+  std::int64_t timestamp_ns = INT64_MIN;
+
+  /// Moves the tip past `block`, which extends it.
+  void advance(const Block& block) noexcept {
+    ++height;
+    hash = block.hash;
+    timestamp_ns = block.header.timestamp_ns;
+  }
+};
+
+/// The acceptance rule: may `block` extend the chain ending at `tip`?  It
+/// must carry the next index, link to the tip's hash, pass
+/// verify_block_integrity and not go back in time.  On failure the result
+/// names the first broken condition, with bad_index = tip.height.
+[[nodiscard]] ValidationResult check_extends(const ChainTip& tip,
+                                             const Block& block);
+
+/// Validates an arbitrary block sequence from genesis under check_extends.
 [[nodiscard]] ValidationResult verify_chain(const std::vector<Block>& blocks);
 
 /// Append-only ledger owned by one writer (a trusted aggregator) or shared
@@ -36,10 +58,10 @@ class Ledger {
   const Block& append(std::vector<RecordBytes> records,
                       std::int64_t timestamp_ns, const std::string& writer);
 
-  /// Appends an externally produced block (backhaul sync).  The block must
-  /// extend this chain (correct index and prev-hash) and pass integrity
-  /// checks; returns false and leaves the ledger unchanged otherwise.
-  bool append_external(Block block);
+  /// Appends an externally produced block (backhaul sync) if check_extends
+  /// accepts it; otherwise returns the reason and leaves the ledger
+  /// unchanged.
+  ValidationResult append_external(Block block);
 
   [[nodiscard]] std::size_t size() const noexcept { return blocks_.size(); }
   [[nodiscard]] bool empty() const noexcept { return blocks_.empty(); }
@@ -47,7 +69,8 @@ class Ledger {
   [[nodiscard]] const std::vector<Block>& blocks() const noexcept {
     return blocks_;
   }
-  [[nodiscard]] const Digest& tip_hash() const noexcept { return tip_hash_; }
+  [[nodiscard]] const ChainTip& tip() const noexcept { return tip_; }
+  [[nodiscard]] const Digest& tip_hash() const noexcept { return tip_.hash; }
 
   /// Validates the whole chain.
   [[nodiscard]] ValidationResult validate() const;
@@ -64,8 +87,14 @@ class Ledger {
   }
 
  private:
+  // Stores the signed blocks it builds on this ledger's tip.
+  friend class PermissionedChain;
+
+  /// Stores `block`, which extends the tip, and advances the tip.
+  const Block& push(Block block);
+
   std::vector<Block> blocks_;
-  Digest tip_hash_{};  // zero digest before genesis
+  ChainTip tip_;
 };
 
 }  // namespace emon::chain

@@ -15,8 +15,7 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
                        const SystemConfig& config,
                        grid::DistributionNetwork& grid_net,
                        net::Backhaul& backhaul, chain::PermissionedChain& chain,
-                       ChainCommitQueue& commits, const util::SeedSequence& seeds,
-                       sim::Trace* trace)
+                       const util::SeedSequence& seeds, sim::Trace* trace)
     : kernel_(kernel),
       id_(std::move(id)),
       network_(std::move(network)),
@@ -24,7 +23,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       grid_(grid_net),
       backhaul_(backhaul),
       chain_(chain),
-      commits_(commits),
       chain_secret_("secret-" + id_),
       trace_(trace),
       log_(id_),
@@ -59,7 +57,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
         return feeder_sensor_.get();
       }(), [&kernel] { return kernel.now(); }) {
   chain_.register_writer(chain::WriterKey{id_, chain_secret_});
-  commits_.register_writer(id_);
   // Every accepted record folds into the maintained roll-ups as it lands.
   tsdb_.set_ingest_hook(&rollup_engine_);
   subscriptions_.attach();
@@ -647,14 +644,14 @@ void Aggregator::on_block_timer() {
   // Two-phase commit: stage the batch now (the block timestamp), collect
   // the sealed block one commit-latency later.  The deferred collect is
   // what lets sharded runs order same-instant blocks from different
-  // threads identically to a sequential run (see core/chain_commit.hpp).
+  // threads identically to a sequential run (see chain/permissioned.hpp).
   const sim::SimTime at = kernel_.now();
-  const std::uint64_t ticket =
-      commits_.submit(id_, chain_secret_, std::move(pending_records_), at);
+  const std::uint64_t ticket = chain_.submit(
+      id_, chain_secret_, std::move(pending_records_), at.ns());
   pending_records_.clear();
   kernel_.schedule_at(at + config_.aggregator.chain_commit_latency,
                       [this, ticket, at] {
-                        auto block = commits_.collect(ticket, at);
+                        auto block = chain_.collect(ticket, at.ns());
                         if (!block) {
                           log_.error(
                               "chain append rejected (writer not "
@@ -686,7 +683,7 @@ void Aggregator::sync_replica(chain::Block block) {
   for (auto it = replica_backlog_.find(replica_.size());
        it != replica_backlog_.end();
        it = replica_backlog_.find(replica_.size())) {
-    if (!replica_.append_external(it->second)) {
+    if (!replica_.append_external(it->second).ok) {
       log_.warn("replica rejected block ", it->second.header.index);
       replica_backlog_.erase(it);
       break;

@@ -24,7 +24,6 @@
 #include "chain/permissioned.hpp"
 #include "core/anomaly.hpp"
 #include "core/billing.hpp"
-#include "core/chain_commit.hpp"
 #include "core/config.hpp"
 #include "core/energy_meter.hpp"
 #include "core/forecast.hpp"
@@ -80,7 +79,7 @@ class Aggregator {
  public:
   /// `network` is the WAN/grid-location this aggregator owns (its SSID).
   /// The aggregator registers itself as a backhaul node and a chain writer
-  /// (its commit rank in `commits` is its construction order).
+  /// (its commit rank in `chain` is its construction order).
   ///
   /// Threading: an aggregator lives on one kernel shard; every method below
   /// executes on that shard's event thread, which is the owner thread of
@@ -91,8 +90,8 @@ class Aggregator {
   Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
              const SystemConfig& config, grid::DistributionNetwork& grid_net,
              net::Backhaul& backhaul, chain::PermissionedChain& chain,
-             ChainCommitQueue& commits, const util::SeedSequence& seeds,
-             sim::Trace* trace = nullptr) EMON_OWNER_THREAD_CONTEXT;
+             const util::SeedSequence& seeds, sim::Trace* trace = nullptr)
+      EMON_OWNER_THREAD_CONTEXT;
 
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
@@ -222,7 +221,6 @@ class Aggregator {
   grid::DistributionNetwork& grid_;
   net::Backhaul& backhaul_;
   chain::PermissionedChain& chain_;
-  ChainCommitQueue& commits_;
   std::string chain_secret_;
   sim::Trace* trace_;
   // Interned trace series: feeder.<id> and, per verification window,

@@ -112,11 +112,9 @@ void ConsensusGroup::on_proposal(std::size_t member, const chain::Block& block,
   if (!active_ || active_->round != round || members_[member].faulty) {
     return;
   }
-  // Validation: integrity + linkage on this member's replica.
-  const chain::Ledger& replica = members_[member].replica;
-  const bool valid = chain::verify_block_integrity(block) &&
-                     block.header.index == replica.size() &&
-                     block.header.prev_hash == replica.tip_hash();
+  // Validation: the ledger's own acceptance rule on this member's replica.
+  const bool valid =
+      chain::check_extends(members_[member].replica.tip(), block).ok;
   send(member, active_->leader, 96, [this, round, valid] {
     on_vote(round, valid);
   });

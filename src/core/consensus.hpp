@@ -9,10 +9,11 @@
 //
 // Implementation: rotating-leader quorum voting (a PBFT-lite without view
 // changes): per round the leader proposes a block over the round's record
-// pool; members validate (prev-hash linkage + Merkle recomputation) and
-// vote; on >= quorum YES votes the leader commits and broadcasts the block,
-// which every honest member appends to its replica.  Crash-faulty members
-// stay silent; rounds without quorum fail and their records carry over.
+// pool; members check it with chain::check_extends (the rule their replicas
+// append by) and vote; on >= quorum YES votes the leader commits and
+// broadcasts the block, which every honest member appends to its replica.
+// Crash-faulty members stay silent; rounds without quorum fail and their
+// records carry over.
 //
 // The ext_consensus bench compares this against the trusted-aggregator
 // chain on commit latency and message count.

@@ -256,7 +256,7 @@ Testbed::Testbed(ScenarioSpec spec, TestbedOptions options)
     const std::size_t s = network_shard_[n];
     aggregators_.push_back(std::make_unique<Aggregator>(
         engine_.shard(s), "agg-" + std::to_string(n + 1), network_name(n),
-        spec_.sys, *grids_[n], *segments_[s], chain_, commit_queue_, seeds_,
+        spec_.sys, *grids_[n], *segments_[s], chain_, seeds_,
         traces_[s].get()));
     brokers_by_host_.emplace(aggregators_.back()->id(),
                              &aggregators_.back()->broker());

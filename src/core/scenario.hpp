@@ -18,7 +18,8 @@
 // its own thread under the conservative-lookahead ShardedKernel; the
 // lookahead is the minimum backhaul link latency.  Cross-shard traffic:
 //   * aggregator frames hop shards through the BackhaulFabric mailboxes,
-//   * chain blocks commit through the deferred ChainCommitQueue,
+//   * chain blocks commit through the PermissionedChain's deferred
+//     submit/collect, in (submit time, writer rank) order,
 //   * roaming devices whose churn plan crosses a shard boundary migrate —
 //     detach_for_migration() at departure, adopt() at arrival (transit
 //     must exceed the firmware's longest in-flight continuation, checked
@@ -43,7 +44,6 @@
 
 #include "chain/permissioned.hpp"
 #include "core/aggregator.hpp"
-#include "core/chain_commit.hpp"
 #include "core/device_app.hpp"
 #include "core/fleet.hpp"
 #include "core/mobility.hpp"
@@ -98,7 +98,7 @@ class Testbed {
   }
   [[nodiscard]] chain::PermissionedChain& chain() noexcept { return chain_; }
   /// Shard 0's backhaul segment (the whole mesh when shards == 1; fabric
-  /// APIs — nodes, routing, manual up/down — work from any segment).
+  /// APIs — nodes, routing, node_up — work from any segment).
   [[nodiscard]] net::Backhaul& backhaul() noexcept { return *segments_[0]; }
   [[nodiscard]] net::WifiMedium& medium() noexcept { return *mediums_[0]; }
 
@@ -184,7 +184,6 @@ class Testbed {
   std::shared_ptr<net::BackhaulFabric> fabric_;
   std::vector<std::unique_ptr<net::Backhaul>> segments_;
   chain::PermissionedChain chain_;
-  ChainCommitQueue commit_queue_{chain_};
   std::vector<std::unique_ptr<grid::DistributionNetwork>> grids_;
   std::vector<std::unique_ptr<Aggregator>> aggregators_;
   std::vector<std::unique_ptr<DeviceApp>> devices_;

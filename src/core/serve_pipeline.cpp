@@ -9,7 +9,6 @@ namespace emon::core {
 namespace {
 void accumulate(ServePipelineStats& into, const ServePipelineStats& from) {
   into.frames_ingested += from.frames_ingested;
-  into.record_batches_ingested += from.record_batches_ingested;
   into.records_accepted += from.records_accepted;
   into.records_duplicate += from.records_duplicate;
   into.malformed_frames += from.malformed_frames;
@@ -27,7 +26,7 @@ ServePipeline::ServePipeline(store::Tsdb& tsdb, store::RollupEngine* rollups,
   }
   if (options_.metrics != nullptr) {
     auto& reg = *options_.metrics;
-    ingest_item_ns_ = reg.histogram("serve_ingest_ns");
+    ingest_frame_ns_ = reg.histogram("serve_ingest_ns");
     pump_ns_ = reg.histogram("serve_pump_ns");
     queue_depth_ = reg.gauge("serve_queue_depth");
   }
@@ -94,21 +93,6 @@ bool ServePipeline::submit_frame(std::vector<std::uint8_t> frame) {
   return true;
 }
 
-bool ServePipeline::submit_records(std::vector<ConsumptionRecord> records) {
-  util::UniqueLock lk(mu_);
-  while (!stopping_ && queue_.size() >= options_.queue_capacity) {
-    producer_cv_.wait(lk);
-  }
-  if (stopping_) {
-    return false;
-  }
-  queue_.emplace_back(std::move(records));
-  queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
-  lk.unlock();
-  worker_cv_.notify_one();
-  return true;
-}
-
 void ServePipeline::flush() {
   util::UniqueLock lk(mu_);
   while (!queue_.empty() || in_flight_) {
@@ -138,15 +122,15 @@ void ServePipeline::worker_loop() {
     if (queue_.empty()) {
       return;  // stopping and fully drained
     }
-    std::deque<Item> batch;
+    std::deque<Frame> batch;
     batch.swap(queue_);
     in_flight_ = true;
     queue_depth_.set(0);
     lk.unlock();
     producer_cv_.notify_all();
     ServePipelineStats local;
-    for (Item& item : batch) {
-      ingest_item(item, local);
+    for (const Frame& frame : batch) {
+      ingest_frame(frame, local);
       ++since_pump;
       if (options_.pump_every != 0 && since_pump >= options_.pump_every) {
         pump(local);
@@ -162,29 +146,21 @@ void ServePipeline::worker_loop() {
   }
 }
 
-void ServePipeline::ingest_item(Item& item, ServePipelineStats& local) {
-  const obs::ScopedTimer timer(ingest_item_ns_);
-  std::vector<ConsumptionRecord> decoded_records;  // a frame's, freed here
-  const auto* records = std::get_if<std::vector<ConsumptionRecord>>(&item);
-  if (records == nullptr) {
-    auto decoded =
-        protocol::decode_any(std::get<std::vector<std::uint8_t>>(item));
-    if (!decoded) {
-      ++local.malformed_frames;
-      return;
-    }
-    auto* report = std::get_if<Report>(&decoded.value());
-    if (report == nullptr) {
-      ++local.unexpected_frames;
-      return;
-    }
-    ++local.frames_ingested;
-    decoded_records = std::move(report->records);
-    records = &decoded_records;
-  } else {
-    ++local.record_batches_ingested;
+void ServePipeline::ingest_frame(const Frame& frame,
+                                 ServePipelineStats& local) {
+  const obs::ScopedTimer timer(ingest_frame_ns_);
+  const auto decoded = protocol::decode_any(frame);
+  if (!decoded) {
+    ++local.malformed_frames;
+    return;
   }
-  for (const auto& record : *records) {
+  const auto* report = std::get_if<Report>(&decoded.value());
+  if (report == nullptr) {
+    ++local.unexpected_frames;
+    return;
+  }
+  ++local.frames_ingested;
+  for (const auto& record : report->records) {
     if (tsdb_->ingest(record)) {
       ++local.records_accepted;
     } else {

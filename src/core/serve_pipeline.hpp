@@ -13,11 +13,11 @@
 // neither side stalls the other.
 //
 // Thread roles:
-//   * producers (any threads): submit_frame()/submit_records() enqueue work
+//   * producers (any threads): submit_frame() enqueues encoded frames
 //     into a bounded queue — blocking when full, so a slow store applies
 //     backpressure instead of unbounded memory growth;
 //   * ingest worker (one thread, owned): drains the queue in batches,
-//     decodes frames, ingests every record, and every `pump_every` items
+//     decodes frames, ingests every record, and every `pump_every` frames
 //     drains the registered rollups, invoking window sinks in line.  It is
 //     the Tsdb's single writer and the RollupEngine's owner thread — the
 //     hook, drain() and watermark logic run exactly where their
@@ -25,7 +25,7 @@
 //   * query threads (any, not owned): run QueryEngine/Tsdb reads
 //     concurrently; no coordination with this pipeline is needed.
 //
-// flush() quiesces: it blocks until every submitted item is ingested, runs
+// flush() quiesces: it blocks until every submitted frame is ingested, runs
 // a final rollup pump, and hands the caller a happens-before edge (via the
 // queue mutex) over everything the ingest worker wrote — after it returns,
 // the caller may read rollup state or replay-compare store contents exactly
@@ -35,7 +35,6 @@
 #include <deque>
 #include <functional>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -48,14 +47,14 @@
 namespace emon::core {
 
 struct ServePipelineOptions {
-  /// Max queued items (frames or record batches); submit blocks at the cap.
+  /// Max queued frames; submit_frame blocks at the cap.
   std::size_t queue_capacity = 4096;
-  /// Ingested items between rollup pumps (window drains + sink fan-out).
+  /// Ingested frames between rollup pumps (window drains + sink fan-out).
   /// Watermarks only advance on ingest, so pumping more often than new
   /// records arrive cannot close more windows — this just bounds drain
-  /// overhead per item.  0 pumps only at flush().
+  /// overhead per frame.  0 pumps only at flush().
   std::size_t pump_every = 64;
-  /// Registry for the stage instruments (serve_ingest_ns per-item timing,
+  /// Registry for the stage instruments (serve_ingest_ns per-frame timing,
   /// serve_pump_ns per-pump timing, serve_queue_depth gauge); null = none.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -65,7 +64,6 @@ struct ServePipelineOptions {
 /// exact once the pipeline is flushed or stopped.
 struct ServePipelineStats {
   std::uint64_t frames_ingested = 0;
-  std::uint64_t record_batches_ingested = 0;
   std::uint64_t records_accepted = 0;
   std::uint64_t records_duplicate = 0;
   std::uint64_t malformed_frames = 0;
@@ -111,12 +109,8 @@ class ServePipeline {
   /// Enqueues one encoded MQTT uplink frame (decoded on the ingest worker).
   /// Blocks while the queue is at capacity; false once stop() began.
   bool submit_frame(std::vector<std::uint8_t> frame) EMON_EXCLUDES(mu_);
-  /// Enqueues pre-decoded records — the bench fast path that measures the
-  /// store, not the codec.  Same backpressure rules.
-  bool submit_records(std::vector<ConsumptionRecord> records)
-      EMON_EXCLUDES(mu_);
 
-  /// Blocks until every item submitted before this call is ingested, then
+  /// Blocks until every frame submitted before this call is ingested, then
   /// runs one rollup pump on the calling thread.  On return the pipeline is
   /// quiesced and everything the worker wrote is visible to the caller.
   /// EMON_OWNER_THREAD_CONTEXT: with the queue drained and the worker
@@ -127,17 +121,16 @@ class ServePipeline {
   [[nodiscard]] ServePipelineStats stats() const EMON_EXCLUDES(mu_);
 
  private:
-  using Item =
-      std::variant<std::vector<std::uint8_t>, std::vector<ConsumptionRecord>>;
+  using Frame = std::vector<std::uint8_t>;
 
   /// The ingest worker body — the Tsdb/RollupEngine owner thread
   /// (EMON_OWNER_THREAD_CONTEXT sanctions its owner-only store calls).
   void worker_loop() EMON_EXCLUDES(mu_) EMON_OWNER_THREAD_CONTEXT;
-  /// EMON_HOT: the per-item inner loop (decode + Tsdb::ingest per record);
+  /// EMON_HOT: the per-frame inner loop (decode + Tsdb::ingest per record);
   /// allocation/throw/lock-free — the locking lives in worker_loop, which
   /// drops mu_ before calling this.
-  void ingest_item(Item& item, ServePipelineStats& local) EMON_OWNER_THREAD
-      EMON_HOT;
+  void ingest_frame(const Frame& frame, ServePipelineStats& local)
+      EMON_OWNER_THREAD EMON_HOT;
   /// Drains every sink rollup; counts into `local`.  Runs either on the
   /// ingest worker (lock dropped, between batches) or on a quiescing caller
   /// holding mu_ with the worker parked — so it carries no lock annotation
@@ -160,7 +153,7 @@ class ServePipeline {
   util::CondVar worker_cv_;    // queue non-empty or stopping
   util::CondVar producer_cv_;  // queue below capacity
   util::CondVar idle_cv_;      // queue empty and worker idle
-  std::deque<Item> queue_ EMON_GUARDED_BY(mu_);
+  std::deque<Frame> queue_ EMON_GUARDED_BY(mu_);
   // Worker is ingesting a swapped batch.
   bool in_flight_ EMON_GUARDED_BY(mu_) = false;
   bool stopping_ EMON_GUARDED_BY(mu_) = false;
@@ -168,7 +161,7 @@ class ServePipeline {
   ServePipelineStats stats_ EMON_GUARDED_BY(mu_);
   std::thread worker_;
 
-  obs::Histogram ingest_item_ns_;  // serve_ingest_ns: decode+ingest per item
+  obs::Histogram ingest_frame_ns_;  // serve_ingest_ns: decode+ingest per frame
   obs::Histogram pump_ns_;         // serve_pump_ns: one rollup pump
   obs::Gauge queue_depth_;         // serve_queue_depth
 };

@@ -74,16 +74,9 @@ void BackhaulFabric::add_down_window(const std::string& id, sim::SimTime from,
   it->second.down_windows.emplace_back(from, to);
 }
 
-void BackhaulFabric::set_node_up(const std::string& id, bool up) {
-  const auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    it->second.up = up;
-  }
-}
-
 bool BackhaulFabric::up_at(const std::string& id, sim::SimTime t) const {
   const auto it = nodes_.find(id);
-  if (it == nodes_.end() || !it->second.up) {
+  if (it == nodes_.end()) {
     return false;
   }
   for (const auto& [from, to] : it->second.down_windows) {
@@ -190,10 +183,6 @@ bool Backhaul::add_node(const std::string& id, Handler on_receive) {
 void Backhaul::add_link(const std::string& a, const std::string& b,
                         ChannelParams params) {
   fabric_->add_link(a, b, params);
-}
-
-void Backhaul::set_node_up(const std::string& id, bool up) {
-  fabric_->set_node_up(id, up);
 }
 
 bool Backhaul::node_up(const std::string& id) const {

@@ -21,8 +21,7 @@
 // Scripted partitions (fault injection from a ScenarioSpec) are *static
 // down-windows* on the fabric: `up_at(node, t)` is a pure function of the
 // scenario, so routing decisions made concurrently on different shards
-// agree without sharing mutable flags.  The runtime `set_node_up()` flag
-// remains for manual/sequential use.
+// agree without sharing mutable flags.
 
 #include <cstdint>
 #include <map>
@@ -44,8 +43,7 @@ class Backhaul;
 
 /// Topology + routing state shared by every segment of one mesh.
 /// Immutable after wiring (nodes, links, windows are added while the
-/// scenario is constructed, single-threaded); the only runtime-mutable
-/// state is the manual up/down flag, which sharded scenarios never touch.
+/// scenario is constructed, single-threaded).
 class BackhaulFabric {
  public:
   explicit BackhaulFabric(util::Rng rng) : rng_(rng) {}
@@ -58,13 +56,11 @@ class BackhaulFabric {
   void add_link(const std::string& a, const std::string& b,
                 ChannelParams params);
 
-  /// Scripted partition: `id` is down during [from, to).  Windows compose
-  /// with the manual flag (down if the flag says down OR any window covers
-  /// `t`).
+  /// Scripted partition: `id` is down during [from, to).  A node is down
+  /// at `t` if any of its windows covers `t`.
   void add_down_window(const std::string& id, sim::SimTime from,
                        sim::SimTime to);
 
-  void set_node_up(const std::string& id, bool up);
   [[nodiscard]] bool up_at(const std::string& id, sim::SimTime t) const;
 
   [[nodiscard]] std::optional<std::vector<std::string>> route(
@@ -95,7 +91,6 @@ class BackhaulFabric {
     std::size_t shard = 0;
     Transport::Handler handler;
     std::vector<Peer> peers;
-    bool up = true;  // manual flag (sequential/tests)
     std::vector<std::pair<sim::SimTime, sim::SimTime>> down_windows;
   };
 
@@ -130,13 +125,10 @@ class Backhaul : public Transport {
   void add_link(const std::string& a, const std::string& b,
                 ChannelParams params);
 
-  /// Fault injection: marks a node down (backhaul partition) or back up.
-  /// A down node neither originates, forwards nor receives frames; routes
-  /// through it are recomputed around it, and frames caught mid-flight at a
-  /// downed hop are dropped (ack false).  Unknown ids are ignored.
-  /// Manual control for tests/sequential runs — scripted faults use the
-  /// fabric's static down-windows instead.
-  void set_node_up(const std::string& id, bool up);
+  /// False while one of the fabric's down-windows covers now (and for an
+  /// unknown id).  A down node neither originates, forwards nor receives
+  /// frames; routes through it are recomputed around it, and frames caught
+  /// mid-flight at a downed hop are dropped (ack false).
   [[nodiscard]] bool node_up(const std::string& id) const;
 
   /// Sends a frame; it is routed over the min-latency path and delivered to

@@ -101,22 +101,53 @@ class ByteReader {
   [[nodiscard]] std::optional<std::string> try_str();
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> try_raw(
       std::size_t n);
-  /// LEB128 varint; nullopt (position untouched) on truncation or a
-  /// malformed >10-byte encoding.  Always inlined: the store's segment
-  /// decoder calls it once per column per record on every range query, and
-  /// a call per varint cost more than the decode itself there.
-  [[nodiscard, gnu::always_inline]] std::optional<std::uint64_t>
-  try_varint() noexcept {
+  /// The one LEB128 varint decoder, as strict as FieldReader: the encoding
+  /// must be minimal (no trailing 0x00 group) and fit 64 bits (a tenth
+  /// byte of 0 or 1).  On success stores the value in `out`, advances and
+  /// returns nullptr; otherwise returns why and leaves the position
+  /// untouched.  Always inlined: the store's segment decoder calls it once
+  /// per column per record on every range query, and a call per varint
+  /// cost more than the decode itself there.
+  [[nodiscard, gnu::always_inline]] const char* read_varint(
+      std::uint64_t& out) noexcept {
     std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 10 && pos_ + i < data_.size(); ++i) {
+    const std::size_t left = data_.size() - pos_;
+    const std::size_t n = std::min<std::size_t>(9, left);
+    for (std::size_t i = 0; i < n; ++i) {
       const std::uint8_t byte = data_[pos_ + i];
       v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
       if ((byte & 0x80) == 0) {
+        if ((byte == 0) & (i != 0)) [[unlikely]] {
+          return "over-long varint";
+        }
         pos_ += i + 1;
-        return v;
+        out = v;
+        return nullptr;
       }
     }
-    return std::nullopt;  // truncated, or continuation bits past 10 bytes
+    if (left < 10) {
+      return "truncated varint";
+    }
+    // A tenth byte carries bit 63 only.
+    const std::uint8_t last = data_[pos_ + 9];
+    if (last == 0) {
+      return "over-long varint";
+    }
+    if (last > 1) {
+      return "varint overflows 64 bits";
+    }
+    pos_ += 10;
+    out = v | (std::uint64_t{1} << 63);
+    return nullptr;
+  }
+  /// read_varint, with nullopt for any failure.
+  [[nodiscard, gnu::always_inline]] std::optional<std::uint64_t>
+  try_varint() noexcept {
+    std::uint64_t v = 0;
+    if (read_varint(v) != nullptr) {
+      return std::nullopt;
+    }
+    return v;
   }
   [[nodiscard, gnu::always_inline]] std::optional<std::int64_t>
   try_zigzag() noexcept {
@@ -277,19 +308,8 @@ class FieldReader {
 
  private:
   void read_varint(std::uint64_t& v) {
-    v = 0;
-    for (int shift = 0;; shift += 7) {
-      const std::uint8_t b = r_.u8();
-      if (shift == 63 && b > 1) {
-        throw DecodeError("varint overflows 64 bits");
-      }
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) {
-        if (b == 0 && shift > 0) {
-          throw DecodeError("over-long varint");
-        }
-        return;
-      }
+    if (const char* error = r_.read_varint(v)) {
+      throw DecodeError(error);
     }
   }
   void get(bool& v) {

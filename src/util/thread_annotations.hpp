@@ -31,7 +31,7 @@
 //   core/serve_pipeline.hpp   mu_         queue/stats/lifecycle flags
 //   store/query_engine.hpp    caller_mu_, mu_   pool job slots
 //   sim/sharded_kernel.hpp    mailbox_mutex, state_mutex_   CMB protocol
-//   core/chain_commit.hpp     mutex_      staged submissions/results
+//   chain/permissioned.hpp    mutex_      ledger, writers, staged commits
 //   obs/metrics.hpp           mu_         instrument storage vectors
 //   util/log.cpp              g_sink_mu   global sink
 // Owner-thread surfaces (EMON_OWNER_THREAD): store/tsdb.hpp's writer API,

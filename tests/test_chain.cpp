@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "chain/block.hpp"
@@ -285,7 +286,7 @@ TEST(Ledger, DetectsTimestampRegression) {
   Ledger ledger;
   ledger.append(make_records(1), 100, "w");
   auto next = make_block(1, ledger.tip_hash(), 50, "w", make_records(1));
-  EXPECT_FALSE(ledger.append_external(next));  // timestamp decreased
+  EXPECT_FALSE(ledger.append_external(next).ok);  // timestamp decreased
 }
 
 TEST(Ledger, AppendExternalValidatesLinkage) {
@@ -297,21 +298,21 @@ TEST(Ledger, AppendExternalValidatesLinkage) {
   replica.append(make_records(2), 10, "w");  // same first block contents? No —
   // records differ per seed, so hashes differ; build the replica by syncing.
   Ledger synced;
-  EXPECT_TRUE(synced.append_external(a.at(0)));
-  EXPECT_TRUE(synced.append_external(good));
+  EXPECT_TRUE(synced.append_external(a.at(0)).ok);
+  EXPECT_TRUE(synced.append_external(good).ok);
   EXPECT_EQ(synced.size(), 2u);
   EXPECT_TRUE(synced.validate().ok);
 
   // Wrong index.
   const Block bad_index = make_block(5, synced.tip_hash(), 30, "w", {});
-  EXPECT_FALSE(synced.append_external(bad_index));
+  EXPECT_FALSE(synced.append_external(bad_index).ok);
   // Broken prev link.
   const Block bad_link = make_block(2, Sha256::hash("x"), 30, "w", {});
-  EXPECT_FALSE(synced.append_external(bad_link));
+  EXPECT_FALSE(synced.append_external(bad_link).ok);
   // Tampered content.
   Block corrupt = make_block(2, synced.tip_hash(), 30, "w", make_records(1));
   corrupt.records[0][0] ^= 1;
-  EXPECT_FALSE(synced.append_external(corrupt));
+  EXPECT_FALSE(synced.append_external(corrupt).ok);
   EXPECT_EQ(synced.size(), 2u);
 }
 
@@ -319,6 +320,49 @@ TEST(Ledger, EmptyLedgerValidates) {
   Ledger ledger;
   EXPECT_TRUE(ledger.validate().ok);
   EXPECT_EQ(ledger.tip_hash(), zero_digest());
+}
+
+// The acceptance rule is one function: a whole-chain check and a one-block
+// sync refuse each defect for the same reason, at the same height.
+TEST(Ledger, VerifyChainAndAppendExternalAgreeOnEveryDefect) {
+  Ledger ledger;
+  ledger.append(make_records(2), 10, "w");
+  ledger.append(make_records(2, 2), 20, "w");
+  Block corrupt = make_block(2, ledger.tip_hash(), 30, "w", make_records(1));
+  corrupt.records[0][0] ^= 1;
+  const struct {
+    const char* defect;
+    Block block;
+    std::string reason;
+  } cases[] = {
+      {"index", make_block(5, ledger.tip_hash(), 30, "w", {}),
+       "index mismatch: expected 2, found 5"},
+      {"link", make_block(2, Sha256::hash("x"), 30, "w", {}),
+       "prev-hash link broken"},
+      {"integrity", corrupt,
+       "block integrity check failed (records or header)"},
+      {"timestamp", make_block(2, ledger.tip_hash(), 15, "w", {}),
+       "timestamp decreased"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.defect);
+    std::vector<Block> blocks = ledger.blocks();
+    blocks.push_back(c.block);
+    const ValidationResult whole = verify_chain(blocks);
+    const ValidationResult one = ledger.append_external(c.block);
+    EXPECT_FALSE(whole.ok);
+    EXPECT_FALSE(one.ok);
+    EXPECT_EQ(whole.reason, c.reason);
+    EXPECT_EQ(one.reason, c.reason);
+    EXPECT_EQ(whole.bad_index, 2u);
+    EXPECT_EQ(one.bad_index, 2u);
+    EXPECT_EQ(ledger.size(), 2u);
+  }
+  EXPECT_TRUE(ledger
+                  .append_external(make_block(2, ledger.tip_hash(), 20, "w",
+                                              make_records(1)))
+                  .ok);
+  EXPECT_EQ(ledger.size(), 3u);
 }
 
 class LedgerTamperSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -346,13 +390,23 @@ INSTANTIATE_TEST_SUITE_P(Blocks, LedgerTamperSweep,
 // Permissioned chain
 // ---------------------------------------------------------------------------
 
+/// Stages a batch and collects it at its own timestamp.
+std::optional<Block> commit_now(PermissionedChain& chain,
+                                const std::string& writer,
+                                const std::string& secret,
+                                std::vector<RecordBytes> records,
+                                std::int64_t at_ns) {
+  return chain.collect(chain.submit(writer, secret, std::move(records), at_ns),
+                       at_ns);
+}
+
 TEST(Permissioned, RegisterAndAppend) {
   PermissionedChain chain;
   EXPECT_TRUE(chain.register_writer({"agg-1", "s1"}));
   EXPECT_FALSE(chain.register_writer({"agg-1", "s2"}));  // duplicate id
   EXPECT_TRUE(chain.is_authorized("agg-1"));
 
-  const auto block = chain.append("agg-1", "s1", make_records(3), 10);
+  const auto block = commit_now(chain, "agg-1", "s1", make_records(3), 10);
   ASSERT_TRUE(block.has_value());
   EXPECT_EQ(block->header.writer, "agg-1");
   EXPECT_NE(block->signature, Digest{});
@@ -362,8 +416,10 @@ TEST(Permissioned, RegisterAndAppend) {
 TEST(Permissioned, RejectsUnknownWriterAndWrongSecret) {
   PermissionedChain chain;
   chain.register_writer({"agg-1", "s1"});
-  EXPECT_FALSE(chain.append("agg-2", "s1", make_records(1), 0).has_value());
-  EXPECT_FALSE(chain.append("agg-1", "wrong", make_records(1), 0).has_value());
+  EXPECT_THROW((void)commit_now(chain, "agg-2", "s1", make_records(1), 0),
+               std::logic_error);
+  EXPECT_FALSE(
+      commit_now(chain, "agg-1", "wrong", make_records(1), 0).has_value());
   EXPECT_EQ(chain.ledger().size(), 0u);
 }
 
@@ -374,10 +430,9 @@ TEST(Permissioned, MultiWriterInterleaving) {
   for (int i = 0; i < 10; ++i) {
     const std::string writer = i % 2 == 0 ? "agg-1" : "agg-2";
     const std::string secret = i % 2 == 0 ? "s1" : "s2";
-    ASSERT_TRUE(chain
-                    .append(writer, secret,
-                            make_records(2, static_cast<std::uint64_t>(i)),
-                            i * 10)
+    ASSERT_TRUE(commit_now(chain, writer, secret,
+                           make_records(2, static_cast<std::uint64_t>(i)),
+                           i * 10)
                     .has_value());
   }
   EXPECT_EQ(chain.ledger().size(), 10u);
@@ -387,10 +442,11 @@ TEST(Permissioned, MultiWriterInterleaving) {
 TEST(Permissioned, RevokedWriterCannotAppendButHistoryVerifies) {
   PermissionedChain chain;
   chain.register_writer({"agg-1", "s1"});
-  chain.append("agg-1", "s1", make_records(1), 0);
+  (void)commit_now(chain, "agg-1", "s1", make_records(1), 0);
   EXPECT_TRUE(chain.revoke_writer("agg-1"));
   EXPECT_FALSE(chain.is_authorized("agg-1"));
-  EXPECT_FALSE(chain.append("agg-1", "s1", make_records(1), 1).has_value());
+  EXPECT_FALSE(
+      commit_now(chain, "agg-1", "s1", make_records(1), 1).has_value());
   EXPECT_TRUE(chain.validate().ok);  // historic block still verifies
 }
 
@@ -405,7 +461,7 @@ TEST(Permissioned, ReregisterRevokedWriter) {
 TEST(Permissioned, ForgedSignatureDetected) {
   PermissionedChain chain;
   chain.register_writer({"agg-1", "s1"});
-  chain.append("agg-1", "s1", make_records(2), 0);
+  (void)commit_now(chain, "agg-1", "s1", make_records(2), 0);
   auto& blocks = chain.ledger().blocks();
   (void)blocks;
   chain.ledger().mutable_blocks_for_tampering()[0].signature[0] ^= 1;
@@ -423,6 +479,79 @@ TEST(Permissioned, SignatureIsKeyDependent) {
 TEST(Permissioned, RejectsEmptyWriterId) {
   PermissionedChain chain;
   EXPECT_FALSE(chain.register_writer({"", "s"}));
+}
+
+// ---------------------------------------------------------------------------
+// Deferred commits: submit, then collect in (submit time, rank, ticket) order
+// ---------------------------------------------------------------------------
+
+TEST(PermissionedCommit, SameInstantSubmissionsCommitInRankOrder) {
+  PermissionedChain chain;
+  chain.register_writer({"agg-1", "s1"});
+  chain.register_writer({"agg-2", "s2"});
+  // Reverse registration order at the same instant.
+  const auto t2 = chain.submit("agg-2", "s2", make_records(2, 2), 100);
+  const auto t1 = chain.submit("agg-1", "s1", make_records(2, 1), 100);
+  const auto b2 = chain.collect(t2, 100);
+  const auto b1 = chain.collect(t1, 100);
+  ASSERT_TRUE(b1.has_value());
+  ASSERT_TRUE(b2.has_value());
+  EXPECT_EQ(b1->header.index, 0u);
+  EXPECT_EQ(b2->header.index, 1u);
+  EXPECT_EQ(chain.ledger().at(0).header.writer, "agg-1");
+  EXPECT_EQ(chain.ledger().at(1).header.writer, "agg-2");
+  EXPECT_EQ(b2->hash, chain.ledger().tip_hash());
+  EXPECT_TRUE(chain.validate().ok);
+}
+
+TEST(PermissionedCommit, EarlierSubmitTimeCommitsFirstWhateverTheRank) {
+  PermissionedChain chain;
+  chain.register_writer({"agg-1", "s1"});
+  chain.register_writer({"agg-2", "s2"});
+  const auto late = chain.submit("agg-1", "s1", make_records(1, 1), 200);
+  const auto early = chain.submit("agg-2", "s2", make_records(1, 2), 100);
+  EXPECT_EQ(chain.collect(early, 100)->header.index, 0u);
+  EXPECT_EQ(chain.ledger().size(), 1u);  // the later batch is not ripe yet
+  EXPECT_EQ(chain.collect(late, 200)->header.index, 1u);
+}
+
+TEST(PermissionedCommit, CollectBeforeSubmitTimeThrows) {
+  PermissionedChain chain;
+  chain.register_writer({"agg-1", "s1"});
+  const auto ticket = chain.submit("agg-1", "s1", make_records(1), 200);
+  EXPECT_THROW((void)chain.collect(ticket, 100), std::logic_error);
+  EXPECT_EQ(chain.ledger().size(), 0u);
+  EXPECT_TRUE(chain.collect(ticket, 200).has_value());
+}
+
+TEST(PermissionedCommit, UnregisteredWriterCannotSubmit) {
+  PermissionedChain chain;
+  EXPECT_THROW((void)chain.submit("agg-9", "s", make_records(1), 0),
+               std::logic_error);
+}
+
+TEST(PermissionedCommit, RevokedWritersStagedBatchCollectsNullopt) {
+  PermissionedChain chain;
+  chain.register_writer({"agg-1", "s1"});
+  const auto ticket = chain.submit("agg-1", "s1", make_records(1), 10);
+  EXPECT_TRUE(chain.revoke_writer("agg-1"));
+  EXPECT_FALSE(chain.collect(ticket, 10).has_value());
+  EXPECT_EQ(chain.ledger().size(), 0u);
+}
+
+TEST(PermissionedCommit, ReregisteredWriterKeepsItsRankAndTakesTheNewSecret) {
+  PermissionedChain chain;
+  chain.register_writer({"agg-1", "old"});
+  chain.register_writer({"agg-2", "s2"});
+  chain.revoke_writer("agg-1");
+  EXPECT_TRUE(chain.register_writer({"agg-1", "new"}));
+  const auto t2 = chain.submit("agg-2", "s2", make_records(1, 2), 50);
+  const auto stale = chain.submit("agg-1", "old", make_records(1, 3), 50);
+  const auto t1 = chain.submit("agg-1", "new", make_records(1, 1), 50);
+  EXPECT_EQ(chain.collect(t2, 50)->header.index, 1u);
+  EXPECT_FALSE(chain.collect(stale, 50).has_value());
+  EXPECT_EQ(chain.collect(t1, 50)->header.index, 0u);
+  EXPECT_TRUE(chain.validate().ok);
 }
 
 }  // namespace

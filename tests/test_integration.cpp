@@ -189,6 +189,28 @@ TEST(Reproducibility, SameSeedSameOutcome) {
   EXPECT_NE(run(42), run(43));
 }
 
+// The shared chain of one canned run, pinned: record bytes, Merkle leaves,
+// block hashes and the order two same-instant writers commit in all feed
+// this hash.  A change that moves it changed what the chain stores.
+TEST(Reproducibility, PinnedChainTipHash) {
+  Testbed bed{paper_figure4(42)};
+  bed.start();
+  bed.run_for(seconds(25));
+  const chain::Ledger& ledger = bed.chain().ledger();
+  ASSERT_EQ(ledger.size(), 6u);
+  EXPECT_EQ(chain::to_hex(ledger.tip_hash()),
+            "5a7a55823b48590fece74df36d95bbeb700b22c8b9cba822fa1a1c679120afe0");
+  EXPECT_TRUE(bed.chain().validate().ok);
+  // Both writers commit at every block instant, lower rank first.
+  for (std::size_t i = 0; i < ledger.size(); i += 2) {
+    EXPECT_EQ(ledger.at(i).header.writer, "agg-1") << i;
+    EXPECT_EQ(ledger.at(i + 1).header.writer, "agg-2") << i;
+    EXPECT_EQ(ledger.at(i).header.timestamp_ns,
+              ledger.at(i + 1).header.timestamp_ns)
+        << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scale
 // ---------------------------------------------------------------------------

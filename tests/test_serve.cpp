@@ -242,7 +242,8 @@ TEST(ServePipeline, RollupWindowsFanOutToSinksAndMatchColdQueries) {
   mark.energy_mwh = 0.001;
   mark.network = "wan-0";
   mark.membership = MembershipKind::kHome;
-  ASSERT_TRUE(pipeline.submit_records({mark}));
+  ASSERT_TRUE(
+      pipeline.submit_frame(protocol::seal(Report{mark.device_id, {mark}})));
   pipeline.flush();
 
   ASSERT_GE(windows.size(), 10u);
@@ -341,7 +342,6 @@ TEST(ServePipeline, StopIsIdempotentAndRefusesLateWork) {
   pipeline.stop();  // idempotent
 
   EXPECT_FALSE(pipeline.submit_frame(up.frames.front()));
-  EXPECT_FALSE(pipeline.submit_records({}));
   EXPECT_EQ(pipeline.stats().records_accepted, up.records.size());
 }
 

@@ -21,6 +21,8 @@ struct RunResult {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   std::uint64_t blocks = 0;
+  /// The shared chain's tip: commits the blocks' records, order and writers.
+  std::string tip_hash;
   std::size_t shards = 0;
   /// Per aggregator, in network order.  The trace digest sees only each
   /// window's residual, reported sum, verdict and suspect; this compares
@@ -38,6 +40,7 @@ RunResult run(ScenarioSpec spec, std::size_t shards, double duration_s,
   result.digest = bed.trace().digest();
   result.events = bed.executed_events();
   result.blocks = bed.chain().ledger().size();
+  result.tip_hash = chain::to_hex(bed.chain().ledger().tip_hash());
   result.shards = bed.shard_count();
   for (std::size_t n = 0; n < bed.network_count(); ++n) {
     result.verification.push_back(bed.aggregator(n).verification_history());
@@ -76,6 +79,7 @@ void expect_parity(const std::string& name, std::uint64_t seed,
   EXPECT_EQ(seq.digest, par.digest) << name;
   EXPECT_EQ(seq.events, par.events) << name;
   EXPECT_EQ(seq.blocks, par.blocks) << name;
+  EXPECT_EQ(seq.tip_hash, par.tip_hash) << name;
   expect_verification_parity(seq, par, name);
 }
 
@@ -100,6 +104,8 @@ TEST(ShardParity, MetroFleetReduced) {
   EXPECT_EQ(par.shards, 4u);
   EXPECT_EQ(seq.digest, par.digest);
   EXPECT_EQ(seq.events, par.events);
+  EXPECT_EQ(seq.blocks, par.blocks);
+  EXPECT_EQ(seq.tip_hash, par.tip_hash);
   expect_verification_parity(seq, par, "metro_fleet");
 }
 
@@ -224,7 +230,8 @@ TEST(ShardParity, PartitionAcrossShardBoundary) {
   EXPECT_EQ(seq.digest, par.digest);
   EXPECT_EQ(seq.events, par.events);
   EXPECT_EQ(seq.blocks, par.blocks);
-  EXPECT_GT(seq.blocks, 0u);  // the run commits blocks through the queue
+  EXPECT_EQ(seq.tip_hash, par.tip_hash);
+  EXPECT_GT(seq.blocks, 0u);  // the run commits blocks across shards
 }
 
 TEST(ShardFaults, PartitionWindowDropsAndRestores) {

@@ -369,6 +369,41 @@ TEST(SegmentErrors, DictionaryCountMismatchIsCorrupt) {
   EXPECT_EQ(res.error().fault, SegmentFault::kCorrupt);
 }
 
+// A segment's varints are minimal, so every segment parse() accepts
+// re-encodes to itself: a redundant 0x00 group (8 as 0x88 0x00, 0 as
+// 0x80 0x00) is corrupt wherever it sits.
+TEST(SegmentErrors, OverlongVarintIsCorrupt) {
+  const auto records = synthetic_stream(8, 37);
+  SegmentBuilder builder;
+  for (const auto& r : records) {
+    builder.append(r);
+  }
+  auto bytes = builder.seal().bytes();
+  ASSERT_EQ(bytes[14], 8);  // the summary count (see above)
+  bytes[14] = 0x88;
+  bytes.insert(bytes.begin() + 15, 0x00);
+  EXPECT_FALSE(Segment::parse(bytes).ok());
+
+  // In a column body, parse() does not look; decoding must.
+  auto column = hand_built_segment({3, 3, 3, 3, 3, 3, 3});
+  ASSERT_EQ(Segment::parse(column).value().decode_all().size(), 3u);
+  // The first column's u32 length (3) sits 54 bytes before the end: seven
+  // columns of a length and three bytes, then the 5-byte flags column.
+  const std::size_t length_at = column.size() - 7 * (4 + 3) - 5;
+  ASSERT_EQ(column[length_at], 3);
+  column[length_at] = 4;
+  column[length_at + 4] = 0x80;
+  column.insert(column.begin() + static_cast<std::ptrdiff_t>(length_at) + 5,
+                0x00);
+  const auto res = Segment::parse(column);
+  ASSERT_TRUE(res.ok()) << res.error().detail;
+  SegmentCursor cur = res.value().cursor();
+  EXPECT_FALSE(cur.next().has_value());
+  ASSERT_TRUE(cur.error().has_value());
+  EXPECT_EQ(cur.error()->fault, SegmentFault::kCorrupt);
+  EXPECT_FALSE(res.value().fold<columns::kAll>([](const StoredRecord&) {}));
+}
+
 // ---------------------------------------------------------------------------
 // SeriesStore (device offline buffer)
 // ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 // Unit tests for emon::util — RNG streams, statistics, serialization,
-// hex, CSV, tables and the strong unit types.
+// hex, tables and the strong unit types.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
-#include "util/csv.hpp"
 #include "util/hexdump.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -341,6 +342,43 @@ TEST(Bytes, TruncationThrows) {
   EXPECT_THROW((void)r.u8(), DecodeError);
 }
 
+// One strict varint decoder: the minimal encoding of every 64-bit value
+// reads back, and nothing else does (position untouched on refusal).
+TEST(Bytes, VarintDecoderIsStrict) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
+        std::uint64_t{1} << 62, std::uint64_t{1} << 63,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    ByteWriter w;
+    w.varint(v);
+    const auto bytes = w.take();
+    ByteReader r{bytes};
+    EXPECT_EQ(r.try_varint(), v);
+    EXPECT_TRUE(r.done());
+  }
+  const auto refused = [](std::vector<std::uint8_t> bytes) -> std::string {
+    ByteReader r{bytes};
+    std::uint64_t v = 0;
+    const char* why = r.read_varint(v);
+    EXPECT_FALSE(r.try_varint().has_value());
+    EXPECT_EQ(r.remaining(), bytes.size());
+    return why == nullptr ? "accepted" : why;
+  };
+  EXPECT_EQ(refused({0x80, 0x00}), "over-long varint");
+  EXPECT_EQ(refused({0xff, 0x80, 0x00}), "over-long varint");
+  EXPECT_EQ(refused({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                     0x00}),
+            "over-long varint");
+  EXPECT_EQ(refused({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                     0x02}),
+            "varint overflows 64 bits");
+  EXPECT_EQ(refused({0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                     0x81, 0x00}),
+            "varint overflows 64 bits");
+  EXPECT_EQ(refused({}), "truncated varint");
+  EXPECT_EQ(refused({0x80, 0x80}), "truncated varint");
+}
+
 TEST(Bytes, BadStringLengthThrows) {
   ByteWriter w;
   w.u32(1000);  // claims 1000 bytes follow
@@ -397,33 +435,6 @@ TEST(Hex, CaseInsensitiveDecode) {
 TEST(Hex, RejectsMalformed) {
   EXPECT_FALSE(from_hex("abc").has_value());   // odd length
   EXPECT_FALSE(from_hex("zz").has_value());    // bad digit
-}
-
-// ---------------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------------
-
-TEST(Csv, PlainRow) {
-  std::ostringstream out;
-  CsvWriter csv{out};
-  csv.header({"a", "b"});
-  csv.row(1, 2.5);
-  EXPECT_EQ(out.str(), "a,b\n1,2.5\n");
-}
-
-TEST(Csv, EscapesSpecials) {
-  std::ostringstream out;
-  CsvWriter csv{out};
-  csv.row(std::string("x,y"), std::string("say \"hi\""), std::string("a\nb"));
-  EXPECT_EQ(out.str(), "\"x,y\",\"say \"\"hi\"\"\",\"a\nb\"\n");
-}
-
-TEST(Csv, CountsRows) {
-  std::ostringstream out;
-  CsvWriter csv{out};
-  csv.row(1);
-  csv.row(2);
-  EXPECT_EQ(csv.rows_written(), 2u);
 }
 
 // ---------------------------------------------------------------------------
