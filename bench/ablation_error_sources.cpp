@@ -49,17 +49,32 @@ double measure_gap_pct(const Config& config, double level_scale) {
             return hw::LoadProfilePtr(
                 std::make_shared<hw::ConstantLoad>(util::milliamps(base)));
           })
-          .spec(),
-      core::TestbedOptions{.retain_trace = true}};
+          .spec()};
   bed.start();
   bed.run_for(sim::seconds(50));
 
-  const auto& trace = bed.trace();
+  const core::Aggregator& aggregator = bed.aggregator(0);
   const sim::SimTime from{sim::seconds(20).ns()};
   const sim::SimTime to{sim::seconds(50).ns()};
-  const double d1 = trace.mean_in("reported.agg-1.dev-1", from, to);
-  const double d2 = trace.mean_in("reported.agg-1.dev-2", from, to);
-  const double agg = trace.mean_in("feeder.agg-1", from, to);
+  // Stored self-reports against the mean of the 1 s feeder windows.
+  const auto reported_ma = [&](const char* device) {
+    store::QuerySpec spec;
+    spec.devices = {device};
+    spec.t0_ns = from.ns();
+    spec.t1_ns = to.ns();
+    return aggregator.query_engine().aggregate(spec).merged.avg_current_ma;
+  };
+  double feeder_sum = 0.0;
+  int windows = 0;
+  for (const auto& window : aggregator.verification_history()) {
+    if (window.window_start >= from && window.window_end <= to) {
+      feeder_sum += window.feeder_ma;
+      ++windows;
+    }
+  }
+  const double d1 = reported_ma("dev-1");
+  const double d2 = reported_ma("dev-2");
+  const double agg = windows == 0 ? 0.0 : feeder_sum / windows;
   const double sum = d1 + d2;
   return sum > 0.0 ? (agg - sum) / sum * 100.0 : 0.0;
 }

@@ -47,8 +47,7 @@ int main() {
                         .networks(1, 2)
                         .seed(11)
                         .load_factory(wide_duty)
-                        .spec(),
-                    core::TestbedOptions{.retain_trace = true}};
+                        .spec()};
   bed.start();
   const auto warmup = sim::seconds(20);  // registration handshakes
   const int bins = 10;
@@ -63,7 +62,30 @@ int main() {
 
   util::Table table({"bin", "dev-1 [mA]", "dev-2 [mA]", "sum [mA]",
                      "aggregator [mA]", "gap [mA]", "gap [%]"});
-  const auto& trace = bed.trace();
+  const core::Aggregator& aggregator = bed.aggregator(0);
+  // Device self-reports as accepted at the aggregator, read back from its
+  // store by measurement timestamp — the decentralized reading.
+  const auto reported_ma = [&aggregator](const char* device,
+                                         sim::SimTime from, sim::SimTime to) {
+    store::QuerySpec spec;
+    spec.devices = {device};
+    spec.t0_ns = from.ns();
+    spec.t1_ns = to.ns();
+    return aggregator.query_engine().aggregate(spec).merged.avg_current_ma;
+  };
+  // The aggregator's own feeder meter — the centralized reading: the mean
+  // of the 1 s verification windows that tile the bin.
+  const auto feeder_ma = [&aggregator](sim::SimTime from, sim::SimTime to) {
+    double sum = 0.0;
+    int windows = 0;
+    for (const auto& window : aggregator.verification_history()) {
+      if (window.window_start >= from && window.window_end <= to) {
+        sum += window.feeder_ma;
+        ++windows;
+      }
+    }
+    return windows == 0 ? 0.0 : sum / windows;
+  };
   double min_gap = 1e9;
   double max_gap = -1e9;
   std::ofstream csv("fig5_decentralized_metering.csv");
@@ -73,12 +95,9 @@ int main() {
     const sim::SimTime from = sim::SimTime::zero() + warmup +
                               bin_width * bin;
     const sim::SimTime to = from + bin_width;
-    // Device self-reports as accepted at the aggregator (by measurement
-    // timestamp — the decentralized reading).
-    const double d1 = trace.mean_in("reported.agg-1.dev-1", from, to);
-    const double d2 = trace.mean_in("reported.agg-1.dev-2", from, to);
-    // The aggregator's own feeder meter (the centralized reading).
-    const double agg = trace.mean_in("feeder.agg-1", from, to);
+    const double d1 = reported_ma("dev-1", from, to);
+    const double d2 = reported_ma("dev-2", from, to);
+    const double agg = feeder_ma(from, to);
     const double sum = d1 + d2;
     const double gap_pct = sum > 0.0 ? (agg - sum) / sum * 100.0 : 0.0;
     min_gap = std::min(min_gap, gap_pct);

@@ -140,6 +140,7 @@ class DeviceApp {
   /// current/energy by `factor` while true consumption is unchanged.
   /// factor < 1 under-reports.  1.0 restores honesty.
   void set_tamper_factor(double factor) noexcept { tamper_factor_ = factor; }
+  [[nodiscard]] double tamper_factor() const noexcept { return tamper_factor_; }
 
   // -- Introspection ----------------------------------------------------------
 

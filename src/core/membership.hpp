@@ -35,8 +35,9 @@ struct MemberEntry {
   /// Highest sequence the store accepted from this member (sent in Acks);
   /// the aggregator's Tsdb ingest verdict is its only dedup.
   std::uint64_t last_sequence = 0;
-  /// The member's reported.<agg>.<id> and arrival.<agg>.<id> trace series,
-  /// interned by the aggregator when it adds the member.
+  /// The member's reported.<agg>.<id> and arrival.<agg>.<id> trace series
+  /// (digest keys only: the trace keeps no points), interned by the
+  /// aggregator when it adds the member.
   sim::SeriesId reported_series;
   sim::SeriesId arrival_series;
 };

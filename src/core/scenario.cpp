@@ -116,8 +116,7 @@ std::vector<std::size_t> Testbed::assign_network_shards(
 
   // Pack islands (which are contiguous index ranges by construction of the
   // coupling graph on a line) into `requested` shards, balancing device
-  // count while preserving order — so same-instant cross-shard trace
-  // merges tie-break in network order.
+  // count while preserving network order.
   const std::size_t shards = std::min(requested, island_devices.size());
   const std::size_t total =
       std::accumulate(island_devices.begin(), island_devices.end(),
@@ -173,8 +172,7 @@ Testbed::Testbed(ScenarioSpec spec, TestbedOptions options)
       network_shard_(assign_network_shards(spec_, options.shards)),
       engine_(shard_count_of(network_shard_),
               std::max(spec_.sys.backhaul.base_latency, sim::Duration{2})),
-      seeds_(spec_.sys.seed),
-      merged_trace_(options.retain_trace) {
+      seeds_(spec_.sys.seed) {
   if (spec_.networks.empty()) {
     throw std::invalid_argument("Testbed needs at least one network");
   }
@@ -227,7 +225,7 @@ Testbed::Testbed(ScenarioSpec spec, TestbedOptions options)
   // order, so sequential and sharded wirings of one spec agree bit-for-bit.
   fabric_ = std::make_shared<net::BackhaulFabric>(seeds_.stream("backhaul"));
   for (std::size_t s = 0; s < n_shards; ++s) {
-    traces_.push_back(std::make_unique<sim::Trace>(options.retain_trace));
+    traces_.push_back(std::make_unique<sim::Trace>());
     mediums_.push_back(std::make_unique<net::WifiMedium>(engine_.shard(s)));
     segments_.push_back(std::make_unique<net::Backhaul>(
         engine_.shard(s), fabric_, s, n_shards > 1 ? &engine_ : nullptr));
@@ -673,10 +671,7 @@ sim::Trace& Testbed::trace() {
 }
 
 void Testbed::rebuild_merged_trace() {
-  // Shard digests add up; retained points merge by (time, shard index), so
-  // same-instant appends of a multi-writer series (wire.backhaul tx/rx, a
-  // migrating device's own series) tie-break in network == writer order,
-  // because shard ranges are contiguous.
+  // Shard digests add up (sim/trace.hpp).
   std::vector<const sim::Trace*> shards;
   shards.reserve(traces_.size());
   for (const auto& trace : traces_) {

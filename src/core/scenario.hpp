@@ -29,8 +29,7 @@
 // reproduce the shards=1 Trace::digest() of the same revision: every
 // trace point is appended on exactly one shard, and the digest is a sum
 // over points (sim/trace.hpp), so the shard digests add up to the
-// sequential one whatever the interleaving and whether or not points are
-// retained.  (Note:
+// sequential one whatever the interleaving.  (Note:
 // chain commits are deferred by chain_commit_latency in *both* modes, a
 // deliberate behavioural change from pre-sharding revisions.)
 //
@@ -61,10 +60,6 @@ struct TestbedOptions {
   /// Upper bound on worker shards; the effective count is capped by the
   /// number of radio islands the scenario decomposes into.
   std::size_t shards = 1;
-  /// Keep every trace point for reading back (figure benches, CSV export,
-  /// tests that inspect series).  Off, the trace keeps only its digest and
-  /// point count, and series reads throw std::logic_error.
-  bool retain_trace = false;
 };
 
 /// The fully wired testbed.  Owns everything; movable only via unique_ptr.
@@ -90,8 +85,7 @@ class Testbed {
   [[nodiscard]] sim::ShardedKernel& engine() noexcept { return engine_; }
   /// The run's trace.  With shards > 1 this is the merge of the per-shard
   /// traces (rebuilt lazily after each run_for): summed digests and point
-  /// counts, plus the (time, shard)-ordered points when retained; treat it
-  /// as read-only.
+  /// counts; treat it as read-only.
   [[nodiscard]] sim::Trace& trace();
   [[nodiscard]] const util::SeedSequence& seeds() const noexcept {
     return seeds_;

@@ -17,6 +17,15 @@ std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) noexcept {
                                    static_cast<std::uint64_t>(b));
 }
 
+/// A refused varint: running out of input is truncation, a malformed
+/// encoding (over-long, past 64 bits) is corruption.
+SegmentError varint_error(const char* why, const char* where) {
+  return SegmentError{why == util::ByteReader::kVarintTruncated
+                          ? SegmentFault::kTruncated
+                          : SegmentFault::kCorrupt,
+                      std::string(where) + ": " + why};
+}
+
 /// Assembles a restart index (layout in Segment::BlockWalk), sized exactly.
 std::vector<std::uint8_t> restart_index(std::uint64_t block_records,
                                         const util::ByteWriter& bounds,
@@ -79,65 +88,69 @@ SegmentResult<Segment> Segment::parse(std::span<const std::uint8_t> bytes) {
 
   // Summary block.
   auto& s = seg.summary_;
-  const auto count = r.try_varint();
-  const auto t_min = r.try_zigzag();
-  const auto t_max = r.try_zigzag();
-  const auto seq_min = r.try_varint();
-  const auto seq_max = r.try_varint();
-  const auto cur_min = r.try_zigzag();
-  const auto cur_max = r.try_zigzag();
-  const auto cur_sum = r.try_zigzag();
-  const auto volt_min = r.try_zigzag();
-  const auto volt_max = r.try_zigzag();
-  const auto energy_sum = r.try_zigzag();
-  if (!count || !t_min || !t_max || !seq_min || !seq_max || !cur_min ||
-      !cur_max || !cur_sum || !volt_min || !volt_max || !energy_sum) {
-    return SegmentError{SegmentFault::kTruncated, "summary block"};
+  const char* why = nullptr;
+  const auto varint = [&r, &why](std::uint64_t& v) {
+    if (why == nullptr) {
+      why = r.read_varint(v);
+    }
+  };
+  const auto zigzag = [&r, &why](std::int64_t& v) {
+    if (why == nullptr) {
+      why = r.read_zigzag(v);
+    }
+  };
+  varint(s.count);
+  zigzag(s.t_min_ns);
+  zigzag(s.t_max_ns);
+  varint(s.seq_min);
+  varint(s.seq_max);
+  zigzag(s.current_q_min);
+  zigzag(s.current_q_max);
+  zigzag(s.current_q_sum);
+  zigzag(s.voltage_q_min);
+  zigzag(s.voltage_q_max);
+  zigzag(s.energy_q_sum);
+  if (why != nullptr) {
+    return varint_error(why, "summary block");
   }
   // Each record costs at least one byte per varint column plus 2 bits of
   // flags; an adversarial count cannot exceed the bytes present (and the
   // bound keeps later (count + 3) / 4 arithmetic overflow-free).
-  if (*count > r.remaining()) {
+  if (s.count > r.remaining()) {
     return SegmentError{SegmentFault::kCorrupt,
                         "record count exceeds remaining bytes"};
   }
-  s.count = *count;
-  s.t_min_ns = *t_min;
-  s.t_max_ns = *t_max;
-  s.seq_min = *seq_min;
-  s.seq_max = *seq_max;
-  s.current_q_min = *cur_min;
-  s.current_q_max = *cur_max;
-  s.current_q_sum = *cur_sum;
-  s.voltage_q_min = *volt_min;
-  s.voltage_q_max = *volt_max;
-  s.energy_q_sum = *energy_sum;
 
   // Network dictionary with per-network subtotals.
-  const auto dict_count = r.try_varint();
-  if (!dict_count) {
-    return SegmentError{SegmentFault::kTruncated, "dictionary count"};
+  std::uint64_t dict_count = 0;
+  varint(dict_count);
+  if (why != nullptr) {
+    return varint_error(why, "dictionary count");
   }
   // Each entry needs at least a 4-byte length prefix + 2 varint bytes, so an
   // adversarial count cannot force a giant allocation.
-  if (*dict_count > r.remaining() / 6 + 1) {
+  if (dict_count > r.remaining() / 6 + 1) {
     return SegmentError{SegmentFault::kCorrupt,
                         "dictionary count exceeds remaining bytes"};
   }
   std::uint64_t dict_records = 0;
-  seg.dictionary_.reserve(static_cast<std::size_t>(*dict_count));
-  s.networks.reserve(static_cast<std::size_t>(*dict_count));
-  for (std::uint64_t i = 0; i < *dict_count; ++i) {
+  seg.dictionary_.reserve(static_cast<std::size_t>(dict_count));
+  s.networks.reserve(static_cast<std::size_t>(dict_count));
+  for (std::uint64_t i = 0; i < dict_count; ++i) {
     auto name = r.try_str();
-    const auto records = r.try_varint();
-    const auto energy_q = r.try_zigzag();
-    if (!name || !records || !energy_q) {
+    if (!name) {
       return SegmentError{SegmentFault::kTruncated, "dictionary entry"};
     }
-    dict_records += *records;
+    std::uint64_t records = 0;
+    std::int64_t energy_q = 0;
+    varint(records);
+    zigzag(energy_q);
+    if (why != nullptr) {
+      return varint_error(why, "dictionary entry");
+    }
+    dict_records += records;
     seg.dictionary_.push_back(*name);
-    s.networks.push_back(NetworkSubtotal{std::move(*name), *records,
-                                         *energy_q});
+    s.networks.push_back(NetworkSubtotal{std::move(*name), records, energy_q});
   }
   if (dict_records != s.count) {
     return SegmentError{SegmentFault::kCorrupt,
@@ -212,7 +225,8 @@ std::optional<ConsumptionRecord> SegmentCursor::next() {
   }
   if (!decoder_.next()) {
     error_ = SegmentError{SegmentFault::kCorrupt,
-                          std::string(decoder_.failure()) + " at record " +
+                          std::string(decoder_.failure()) + ": " +
+                              decoder_.failure_reason() + " at record " +
                               std::to_string(decoder_.decoded())};
     return std::nullopt;
   }

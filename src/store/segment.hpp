@@ -463,10 +463,11 @@ class Segment {
 
 /// The one segment decoder: streams records in storage order, reading only
 /// the timestamp, current and energy columns plus the `Columns` mask.
-/// `next()` stops at end-of-segment or at the first column that runs dry (or
-/// an index outside the dictionary) — never reading past a column, never
-/// yielding a record it could not fully decode — and `failure()` names the
-/// column.  Inline so a fold's per-record callback compiles into the loop.
+/// `next()` stops at end-of-segment or at the first column it cannot read
+/// (one that runs dry, a malformed varint, an index outside the dictionary)
+/// — never reading past a column, never yielding a record it could not
+/// fully decode — and `failure()` names the column, `failure_reason()` why.
+/// Inline so a fold's per-record callback compiles into the loop.
 template <unsigned Columns>
 class SegmentDecoder {
  public:
@@ -509,14 +510,14 @@ class SegmentDecoder {
     }
     // Timestamps: raw, then delta, then delta-of-delta (the delta starts at
     // 0, so record 1's plain delta folds in through the same add).
-    const auto ts = timestamps_.try_zigzag();
-    if (!ts) {
-      return fail("timestamp column exhausted");
+    std::int64_t ts = 0;
+    if (const char* why = timestamps_.read_zigzag(ts)) {
+      return fail("timestamp column", why);
     }
-    std::int64_t t = *ts;
+    std::int64_t t = ts;
     std::int64_t ts_delta = ts_delta_;
     if (decoded_ != 0) {
-      ts_delta = wrapping_add(ts_delta, *ts);
+      ts_delta = wrapping_add(ts_delta, ts);
       t = wrapping_add(rec_.timestamp_ns, ts_delta);
     }
     std::uint64_t seq = 0;
@@ -524,53 +525,51 @@ class SegmentDecoder {
     if constexpr ((Columns & columns::kRest) != 0) {
       // Sequences: raw first value, then signed deltas.
       if (decoded_ == 0) {
-        const auto first = sequences_.try_varint();
-        if (!first) {
-          return fail("sequence column exhausted");
+        if (const char* why = sequences_.read_varint(seq)) {
+          return fail("sequence column", why);
         }
-        seq = *first;
       } else {
-        const auto d = sequences_.try_zigzag();
-        if (!d) {
-          return fail("sequence column exhausted");
+        std::int64_t d = 0;
+        if (const char* why = sequences_.read_zigzag(d)) {
+          return fail("sequence column", why);
         }
-        seq = rec_.sequence + static_cast<std::uint64_t>(*d);
+        seq = rec_.sequence + static_cast<std::uint64_t>(d);
       }
-      if (!delta(intervals_, rec_.interval_ns, interval)) {
-        return fail("interval column exhausted");
+      if (const char* why = delta(intervals_, rec_.interval_ns, interval)) {
+        return fail("interval column", why);
       }
     }
     std::int64_t current = 0;
-    if (!delta(currents_, rec_.current_q, current)) {
-      return fail("current column exhausted");
+    if (const char* why = delta(currents_, rec_.current_q, current)) {
+      return fail("current column", why);
     }
     std::int64_t voltage = 0;
     if constexpr ((Columns & columns::kRest) != 0) {
-      if (!delta(voltages_, rec_.voltage_q, voltage)) {
-        return fail("voltage column exhausted");
+      if (const char* why = delta(voltages_, rec_.voltage_q, voltage)) {
+        return fail("voltage column", why);
       }
     }
     std::int64_t energy = 0;
-    if (!delta(energies_, rec_.energy_q, energy)) {
-      return fail("energy column exhausted");
+    if (const char* why = delta(energies_, rec_.energy_q, energy)) {
+      return fail("energy column", why);
     }
     const NetworkId* network = nullptr;
     if constexpr ((Columns & columns::kNetwork) != 0) {
-      const auto index = networks_.try_varint();
-      if (!index) {
-        return fail("network column exhausted");
+      std::uint64_t index = 0;
+      if (const char* why = networks_.read_varint(index)) {
+        return fail("network column", why);
       }
-      if (*index >= segment_->dictionary_.size()) {
-        return fail("network index outside dictionary");
+      if (index >= segment_->dictionary_.size()) {
+        return fail("network column", "index outside dictionary");
       }
-      network = &segment_->dictionary_[static_cast<std::size_t>(*index)];
+      network = &segment_->dictionary_[static_cast<std::size_t>(index)];
     }
     std::uint8_t flags = 0;
     if constexpr ((Columns & columns::kFlags) != 0) {
       if (decoded_ % 4 == 0) {
         const auto packed = flags_.try_u8();
         if (!packed) {
-          return fail("flags column exhausted");
+          return fail("flags column", "exhausted");
         }
         flags_byte_ = *packed;
       }
@@ -600,8 +599,10 @@ class SegmentDecoder {
   [[nodiscard]] const StoredRecord& record() const noexcept { return rec_; }
 
   [[nodiscard]] std::uint64_t decoded() const noexcept { return decoded_; }
-  /// Set iff next() stopped on corruption rather than end-of-segment.
+  /// Set iff next() stopped on corruption rather than end-of-segment: the
+  /// column it could not read, and why (for a varint, read_varint's reason).
   [[nodiscard]] const char* failure() const noexcept { return failure_; }
+  [[nodiscard]] const char* failure_reason() const noexcept { return reason_; }
 
  private:
   /// Two's-complement add: hostile deltas wrap instead of overflowing (UB).
@@ -610,18 +611,18 @@ class SegmentDecoder {
                                      static_cast<std::uint64_t>(b));
   }
   /// Zigzag delta column: raw first value, then deltas off `last` (the
-  /// previous record's value, zero before the first).
-  static bool delta(util::ByteReader& r, std::int64_t last,
-                    std::int64_t& value) noexcept {
-    const auto v = r.try_zigzag();
-    if (!v) {
-      return false;
-    }
-    value = wrapping_add(last, *v);
-    return true;
+  /// previous record's value, zero before the first).  Returns
+  /// read_zigzag's reason on failure.
+  static const char* delta(util::ByteReader& r, std::int64_t last,
+                           std::int64_t& value) noexcept {
+    std::int64_t v = 0;
+    const char* why = r.read_zigzag(v);
+    value = wrapping_add(last, v);
+    return why;
   }
-  bool fail(const char* what) noexcept {
-    failure_ = what;
+  bool fail(const char* column, const char* why) noexcept {
+    failure_ = column;
+    reason_ = why;
     return false;
   }
 
@@ -629,6 +630,7 @@ class SegmentDecoder {
   std::uint64_t decoded_ = 0;
   std::uint64_t stop_;
   const char* failure_ = nullptr;
+  const char* reason_ = nullptr;
   util::ByteReader timestamps_;
   util::ByteReader sequences_;
   util::ByteReader intervals_;

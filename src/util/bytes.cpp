@@ -62,48 +62,14 @@ void ByteWriter::varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw DecodeError("truncated input: need " + std::to_string(n) +
-                      " bytes, have " + std::to_string(remaining()));
-  }
+void ByteReader::throw_truncated(std::size_t n) const {
+  throw DecodeError("truncated input: need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(remaining()));
 }
 
 std::uint8_t ByteReader::u8() {
   require(1);
   return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  require(2);
-  std::uint16_t v = 0;
-  v |= static_cast<std::uint16_t>(data_[pos_]);
-  v = static_cast<std::uint16_t>(
-      v | static_cast<std::uint16_t>(data_[pos_ + 1]) << 8);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
 }
 
 double ByteReader::f64() {

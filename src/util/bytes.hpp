@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -77,9 +79,10 @@ class ByteReader {
       : data_(data) {}
 
   [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  // Fixed-width reads: one bounds check, then one little-endian load.
+  [[nodiscard]] std::uint16_t u16() { return fixed<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return fixed<std::uint64_t>(); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
@@ -101,13 +104,20 @@ class ByteReader {
   [[nodiscard]] std::optional<std::string> try_str();
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> try_raw(
       std::size_t n);
+  /// read_varint's refusals.  Only kVarintTruncated means the input ran
+  /// out; the other two are malformed encodings.  Callers classify a
+  /// reason by comparing against these pointers.
+  static constexpr const char* kVarintTruncated = "truncated varint";
+  static constexpr const char* kVarintOverlong = "over-long varint";
+  static constexpr const char* kVarintOverflow = "varint overflows 64 bits";
+
   /// The one LEB128 varint decoder, as strict as FieldReader: the encoding
   /// must be minimal (no trailing 0x00 group) and fit 64 bits (a tenth
   /// byte of 0 or 1).  On success stores the value in `out`, advances and
-  /// returns nullptr; otherwise returns why and leaves the position
-  /// untouched.  Always inlined: the store's segment decoder calls it once
-  /// per column per record on every range query, and a call per varint
-  /// cost more than the decode itself there.
+  /// returns nullptr; otherwise returns why (one of the reasons above) and
+  /// leaves the position untouched.  Always inlined: the store's segment
+  /// decoder calls it once per column per record on every range query, and
+  /// a call per varint cost more than the decode itself there.
   [[nodiscard, gnu::always_inline]] const char* read_varint(
       std::uint64_t& out) noexcept {
     std::uint64_t v = 0;
@@ -118,7 +128,7 @@ class ByteReader {
       v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
       if ((byte & 0x80) == 0) {
         if ((byte == 0) & (i != 0)) [[unlikely]] {
-          return "over-long varint";
+          return kVarintOverlong;
         }
         pos_ += i + 1;
         out = v;
@@ -126,21 +136,31 @@ class ByteReader {
       }
     }
     if (left < 10) {
-      return "truncated varint";
+      return kVarintTruncated;
     }
     // A tenth byte carries bit 63 only.
     const std::uint8_t last = data_[pos_ + 9];
     if (last == 0) {
-      return "over-long varint";
+      return kVarintOverlong;
     }
     if (last > 1) {
-      return "varint overflows 64 bits";
+      return kVarintOverflow;
     }
     pos_ += 10;
     out = v | (std::uint64_t{1} << 63);
     return nullptr;
   }
-  /// read_varint, with nullopt for any failure.
+  /// read_varint of a ZigZag-mapped signed value.
+  [[nodiscard, gnu::always_inline]] const char* read_zigzag(
+      std::int64_t& out) noexcept {
+    std::uint64_t raw = 0;
+    const char* why = read_varint(raw);
+    if (why == nullptr) {
+      out = static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+    }
+    return why;
+  }
+  /// read_varint / read_zigzag, with nullopt for any failure.
   [[nodiscard, gnu::always_inline]] std::optional<std::uint64_t>
   try_varint() noexcept {
     std::uint64_t v = 0;
@@ -151,11 +171,11 @@ class ByteReader {
   }
   [[nodiscard, gnu::always_inline]] std::optional<std::int64_t>
   try_zigzag() noexcept {
-    const auto raw = try_varint();
-    if (!raw) {
+    std::int64_t v = 0;
+    if (read_zigzag(v) != nullptr) {
       return std::nullopt;
     }
-    return static_cast<std::int64_t>((*raw >> 1) ^ (~(*raw & 1) + 1));
+    return v;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -164,7 +184,29 @@ class ByteReader {
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) [[unlikely]] {
+      throw_truncated(n);
+    }
+  }
+  [[noreturn]] void throw_truncated(std::size_t n) const;
+  /// A fixed-width little-endian integer: on a little-endian host one
+  /// memcpy, which compiles to a single load; elsewhere byte by byte.
+  template <class T>
+  [[nodiscard]] T fixed() {
+    require(sizeof(T));
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += sizeof(T);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v = static_cast<T>(v | static_cast<T>(p[i]) << (8 * i));
+      }
+    }
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -196,8 +196,7 @@ TEST(FleetFaults, ApOutageDropsLinksAndRestores) {
                   .networks(1, 2)
                   .ap_outage(0, SimTime{seconds(15).ns()}, seconds(10))
                   .seed(3)
-                  .spec(),
-              TestbedOptions{.retain_trace = true}};
+                  .spec()};
   bed.start();
   bed.run_for(seconds(14));
   ASSERT_EQ(bed.device(0).state(), DeviceState::kReporting);
@@ -211,7 +210,6 @@ TEST(FleetFaults, ApOutageDropsLinksAndRestores) {
   bed.run_for(seconds(20));  // outage over at t=25, reacquire
   EXPECT_EQ(bed.medium().access_point_count(), 1u);
   EXPECT_EQ(bed.device(0).state(), DeviceState::kReporting);
-  EXPECT_TRUE(bed.trace().has("fault.ap_outage.wan-1"));
 }
 
 TEST(FleetFaults, BackhaulPartitionIsolatesAndHeals) {
@@ -221,8 +219,7 @@ TEST(FleetFaults, BackhaulPartitionIsolatesAndHeals) {
                   .backhaul_partition(1, SimTime{seconds(5).ns()},
                                       seconds(10))
                   .seed(4)
-                  .spec(),
-              TestbedOptions{.retain_trace = true}};
+                  .spec()};
   bed.start();
   bed.run_for(seconds(7));  // inside the partition
   EXPECT_FALSE(bed.backhaul().node_up("agg-2"));
@@ -230,7 +227,6 @@ TEST(FleetFaults, BackhaulPartitionIsolatesAndHeals) {
   bed.run_for(seconds(10));  // healed at t=15
   EXPECT_TRUE(bed.backhaul().node_up("agg-2"));
   EXPECT_TRUE(bed.backhaul().route("agg-1", "agg-2").has_value());
-  EXPECT_TRUE(bed.trace().has("fault.partition.agg-2"));
 }
 
 TEST(FleetFaults, TamperBurstFlagsAnomaliesThenClears) {
@@ -240,10 +236,12 @@ TEST(FleetFaults, TamperBurstFlagsAnomaliesThenClears) {
                   .tamper_burst(0, SimTime{seconds(30).ns()}, seconds(15),
                                 0.3)
                   .seed(13)
-                  .spec(),
-              TestbedOptions{.retain_trace = true}};
+                  .spec()};
   bed.start();
-  bed.run_for(seconds(60));
+  bed.run_for(seconds(35));
+  EXPECT_DOUBLE_EQ(bed.device(0).tamper_factor(), 0.3);
+  bed.run_for(seconds(25));
+  EXPECT_DOUBLE_EQ(bed.device(0).tamper_factor(), 1.0);
   const auto& history = bed.aggregator(0).verification_history();
   ASSERT_FALSE(history.empty());
   std::size_t flagged_in_burst = 0;
@@ -259,7 +257,6 @@ TEST(FleetFaults, TamperBurstFlagsAnomaliesThenClears) {
   }
   EXPECT_GT(flagged_in_burst, 5u);
   EXPECT_EQ(flagged_after, 0u);  // honesty restored after the burst
-  EXPECT_TRUE(bed.trace().has("fault.tamper.dev-1"));
 }
 
 TEST(FleetFaults, OverlappingWindowsRestoreAtLastEnd) {
@@ -273,16 +270,17 @@ TEST(FleetFaults, OverlappingWindowsRestoreAtLastEnd) {
                   .tamper_burst(0, SimTime{seconds(20).ns()}, seconds(20),
                                 0.3)
                   .seed(8)
-                  .spec(),
-              TestbedOptions{.retain_trace = true}};
+                  .spec()};
   bed.start();
-  bed.run_for(seconds(35));  // first window over, second still active
-  ASSERT_EQ(bed.trace().series("fault.tamper.dev-1").size(), 2u);
-  bed.run_for(seconds(10));
-  const auto& marks = bed.trace().series("fault.tamper.dev-1");
-  ASSERT_EQ(marks.size(), 3u);
-  EXPECT_DOUBLE_EQ(marks.back().value, 1.0);
-  EXPECT_EQ(marks.back().time.ns(), seconds(40).ns());
+  auto& dev = bed.device(0);
+  bed.run_for(seconds(15));
+  EXPECT_DOUBLE_EQ(dev.tamper_factor(), 0.5);
+  bed.run_for(seconds(20));  // first window over, second still active
+  EXPECT_DOUBLE_EQ(dev.tamper_factor(), 0.3);
+  bed.run_for(seconds(5) - sim::Duration{1});
+  EXPECT_DOUBLE_EQ(dev.tamper_factor(), 0.3);
+  bed.run_for(sim::Duration{1});  // t = 40 s: the later window closes
+  EXPECT_DOUBLE_EQ(dev.tamper_factor(), 1.0);
 }
 
 TEST(FleetFaults, OutOfRangeTargetsThrow) {

@@ -10,6 +10,7 @@
 
 #include "core/mobility.hpp"
 #include "core/scenario.hpp"
+#include "util/stats.hpp"
 
 namespace emon::core {
 namespace {
@@ -22,25 +23,35 @@ using sim::SimTime;
 // ---------------------------------------------------------------------------
 
 TEST(Figure5, AggregatorReadsHigherThanDeviceSumWithinBand) {
-  Testbed bed{FleetBuilder{}.name("fig5").networks(1, 2).seed(11).spec(),
-              TestbedOptions{.retain_trace = true}};
+  Testbed bed{FleetBuilder{}.name("fig5").networks(1, 2).seed(11).spec()};
   bed.start();
   bed.run_for(seconds(80));
 
-  // Compare per-10s bins after a 20 s warm-up, like the paper's bar chart.
-  const auto& trace = bed.trace();
+  // Compare per-10s bins after a 20 s warm-up, like the paper's bar chart:
+  // the mean of the 1 s feeder windows tiling a bin against the devices'
+  // stored reports over the same bin.
+  const Aggregator& agg = bed.aggregator(0);
   int checked = 0;
   for (int bin = 2; bin < 8; ++bin) {
     const SimTime from{seconds(bin * 10).ns()};
     const SimTime to{seconds((bin + 1) * 10).ns()};
-    const double feeder = trace.mean_in("feeder.agg-1", from, to);
+    util::RunningStats feeder;
+    for (const VerificationResult& window : agg.verification_history()) {
+      if (window.window_start >= from && window.window_end <= to) {
+        feeder.add(window.feeder_ma);
+      }
+    }
+    ASSERT_EQ(feeder.count(), 10u) << "bin " << bin;
     double device_sum = 0.0;
     for (const char* dev : {"dev-1", "dev-2"}) {
-      device_sum +=
-          trace.mean_in(std::string("device.") + dev + ".current_ma", from, to);
+      store::QuerySpec spec;
+      spec.devices = {dev};
+      spec.t0_ns = from.ns();
+      spec.t1_ns = to.ns();
+      device_sum += agg.query_engine().aggregate(spec).merged.avg_current_ma;
     }
     ASSERT_GT(device_sum, 0.0);
-    const double gap = (feeder - device_sum) / device_sum;
+    const double gap = (feeder.mean() - device_sum) / device_sum;
     EXPECT_GT(gap, 0.005) << "bin " << bin;
     EXPECT_LT(gap, 0.085) << "bin " << bin;
     ++checked;
@@ -53,7 +64,7 @@ TEST(Figure5, AggregatorReadsHigherThanDeviceSumWithinBand) {
 // ---------------------------------------------------------------------------
 
 TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
-  Testbed bed{paper_figure4(21), TestbedOptions{.retain_trace = true}};
+  Testbed bed{paper_figure4(21)};
   bed.start();
   bed.run_for(seconds(30));
   auto& dev = bed.device(0);
@@ -63,17 +74,35 @@ TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
   const sim::Duration transit = seconds(12);
   dev.move_to(bed.network_name(1),
               net::Position{bed.network_position(1).x + 2.0, 0.0}, transit);
-  bed.run_for(seconds(40));
 
-  // The master's view of the device (what Figure 6 plots): measurement
-  // timestamps never cover the transit window...
-  const auto& reported = bed.trace().series("reported.agg-1.dev-1");
+  // Arrivals, checked at every kernel step until the temporary membership
+  // completes: the master's store holds no new record of the device and no
+  // roamed batch has reached it.
+  const Aggregator& master = bed.aggregator(0);
+  store::QuerySpec held;
+  held.devices = {dev.id()};
+  const auto held_records = [&] {
+    return master.query_engine().aggregate(held).merged.count;
+  };
+  const std::uint64_t held_at_depart = held_records();
+  while (dev.handshakes().size() < 2) {
+    ASSERT_TRUE(bed.kernel().step());
+    ASSERT_EQ(held_records(), held_at_depart)
+        << "data arrived at the master before the temporary membership, t="
+        << bed.kernel().now().to_seconds();
+    ASSERT_EQ(master.stats().roam_records_received, 0u);
+  }
+  bed.run_for(depart + seconds(40) - bed.kernel().now());
+
+  // The master's stored view of the device (what Figure 6 plots):
+  // measurement timestamps never cover the transit window...
+  const auto reported = master.query_engine().scan(held).records;
   const SimTime replug = depart + transit;
-  for (const auto& point : reported) {
-    const bool in_transit = point.time > depart && point.time < replug;
-    EXPECT_FALSE(in_transit && point.value > 1.0)
-        << "consumption reported during transit at t="
-        << point.time.to_seconds();
+  for (const auto& record : reported) {
+    const SimTime t{record.timestamp_ns};
+    const bool in_transit = t > depart && t < replug;
+    EXPECT_FALSE(in_transit && record.current_ma > 1.0)
+        << "consumption reported during transit at t=" << t.to_seconds();
   }
   // ...but measurements DO cover the handshake window (locally stored and
   // flushed after the temporary membership, §III-B).
@@ -81,81 +110,74 @@ TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
   ASSERT_EQ(handshakes.size(), 2u);
   const SimTime hs_end = handshakes[1].completed_at;
   int covered = 0;
-  for (const auto& point : reported) {
-    if (point.time >= replug && point.time < hs_end && point.value > 1.0) {
+  for (const auto& record : reported) {
+    const SimTime t{record.timestamp_ns};
+    if (t >= replug && t < hs_end && record.current_ma > 1.0) {
       ++covered;
     }
   }
   // ~6 s handshake at 10 Hz ~= 60 buffered records backfilled.
   EXPECT_GT(covered, 40);
-
-  // Arrival times: the backfilled records arrive only after the handshake.
-  const auto& arrival = bed.trace().series("arrival.agg-1.dev-1");
-  for (const auto& point : arrival) {
-    EXPECT_FALSE(point.time > depart && point.time < hs_end &&
-                 point.value > 1.0)
-        << "data arrived at the master before the temporary membership";
-  }
+  EXPECT_GT(master.stats().roam_records_received, 0u);
 }
 
 TEST(Figure6, VerificationWindowsMatchAStoreScanOracle) {
   // The Figure 6 run (depart at 60 s, 20 s transit, offline backfill through
   // the visited aggregator).  Every verification window's reported side is
-  // recomputed from a one-device store scan: each device's mean current over
+  // recomputed from one-device store scans, taken the moment the window
+  // closes: the kernel step that ran the window left the store exactly as
+  // the window read it.  The oracle is each device's mean current over
   // [window_start, window_end), live records drawn at the aggregator's own
-  // network only, and only records that had arrived when the window closed
-  // (the trace's reported.* and arrival.* series are appended in step, so
-  // they pair each measurement timestamp with its arrival time).  Buffered
-  // records describe past windows; counting them (or another network's
-  // records) moves the sum.
-  Testbed bed{paper_figure4(2020), TestbedOptions{.retain_trace = true}};
+  // network only.  Buffered records describe past windows; counting them
+  // (or another network's records, or a record stamped past the window)
+  // moves the sum.
+  Testbed bed{paper_figure4(2020)};
   bed.start();
   bed.kernel().schedule_at(SimTime::zero() + seconds(60), [&bed] {
     bed.device(0).move_to(bed.network_name(1),
                           net::Position{bed.network_position(1).x + 2.0, 0.0},
                           seconds(20));
   });
-  bed.run_for(seconds(120));
 
-  std::size_t windows = 0;
-  for (std::size_t a = 0; a < bed.network_count(); ++a) {
-    const Aggregator& agg = bed.aggregator(a);
-    store::RecordFilter live_here;
-    live_here.network = agg.network();
-    live_here.stored_offline = false;
-    std::map<DeviceId, std::map<std::int64_t, SimTime>> arrival_of;
+  const auto oracle_ma = [](const Aggregator& agg,
+                            const VerificationResult& result) {
+    double total = 0.0;
     for (const DeviceId& device : agg.tsdb().devices()) {
-      const auto& stamped =
-          bed.trace().series("reported." + agg.id() + "." + device);
-      const auto& arrived =
-          bed.trace().series("arrival." + agg.id() + "." + device);
-      ASSERT_EQ(stamped.size(), arrived.size());
-      for (std::size_t i = 0; i < stamped.size(); ++i) {
-        arrival_of[device][stamped[i].time.ns()] = arrived[i].time;
+      store::QuerySpec spec;
+      spec.devices = {device};
+      spec.t0_ns = result.window_start.ns();
+      spec.t1_ns = result.window_end.ns();
+      spec.filter.network = agg.network();
+      spec.filter.stored_offline = false;
+      double sum = 0.0;
+      std::size_t count = 0;
+      for (const auto& r : agg.query_engine().scan(spec).records) {
+        sum += r.current_ma;
+        ++count;
+      }
+      if (count > 0) {
+        total += sum / static_cast<double>(count);
       }
     }
-    for (const VerificationResult& result : agg.verification_history()) {
-      double oracle_ma = 0.0;
-      for (const auto& [device, arrivals] : arrival_of) {
-        double sum = 0.0;
-        std::size_t count = 0;
-        store::QuerySpec spec;
-        spec.devices = {device};
-        spec.t0_ns = result.window_start.ns();
-        spec.t1_ns = result.window_end.ns();
-        spec.filter = live_here;
-        for (const auto& r : agg.query_engine().scan(spec).records) {
-          if (arrivals.at(r.timestamp_ns) < result.window_end) {
-            sum += r.current_ma;
-            ++count;
-          }
-        }
-        if (count > 0) {
-          oracle_ma += sum / static_cast<double>(count);
-        }
+    return total;
+  };
+
+  std::vector<std::size_t> seen(bed.network_count(), 0);
+  std::size_t windows = 0;
+  const SimTime end = SimTime::zero() + seconds(120);
+  while (bed.kernel().now() < end && bed.kernel().step()) {
+    for (std::size_t a = 0; a < bed.network_count(); ++a) {
+      const Aggregator& agg = bed.aggregator(a);
+      const auto& history = agg.verification_history();
+      if (history.size() == seen[a]) {
+        continue;
       }
-      EXPECT_NEAR(result.reported_sum_ma, oracle_ma,
-                  1e-9 * std::max(1.0, std::abs(oracle_ma)))
+      ASSERT_EQ(history.size(), seen[a] + 1);
+      seen[a] = history.size();
+      const VerificationResult& result = history.back();
+      const double oracle = oracle_ma(agg, result);
+      EXPECT_NEAR(result.reported_sum_ma, oracle,
+                  1e-9 * std::max(1.0, std::abs(oracle)))
           << agg.id() << " window [" << result.window_start.to_seconds()
           << ", " << result.window_end.to_seconds() << ") s";
       ++windows;

@@ -772,13 +772,19 @@ TEST_F(BackhaulFixture, BindTraceRecordsWireBytes) {
   sim::Trace trace;
   mesh.bind_trace(&trace, "wire.backhaul");
   add("a");
-  add("b");
+  sim::SimTime delivered_at;
+  mesh.add_node("b", [&](const Frame&) { delivered_at = kernel.now(); });
   mesh.add_link("a", "b", fast_link());
   mesh.send(Frame{"a", "b", std::vector<std::uint8_t>(16), 0});
   kernel.run();
-  ASSERT_TRUE(trace.has("wire.backhaul.tx_bytes"));
-  ASSERT_TRUE(trace.has("wire.backhaul.rx_bytes"));
-  EXPECT_EQ(trace.series("wire.backhaul.tx_bytes")[0].value, 16.0);
+  ASSERT_GT(delivered_at, sim::SimTime::zero());
+  // One tx point at the send and one rx point at the delivery, each
+  // carrying the frame's byte count.
+  sim::Trace reference;
+  reference.append("wire.backhaul.tx_bytes", sim::SimTime::zero(), 16.0);
+  reference.append("wire.backhaul.rx_bytes", delivered_at, 16.0);
+  EXPECT_EQ(trace.total_points(), 2u);
+  EXPECT_EQ(trace.digest(), reference.digest());
 }
 
 TEST_F(MqttFixture, ClientSendsFrameThroughTransportApi) {

@@ -30,10 +30,9 @@ struct RunResult {
   std::vector<std::vector<VerificationResult>> verification;
 };
 
-RunResult run(ScenarioSpec spec, std::size_t shards, double duration_s,
-              bool retain_trace = false) {
+RunResult run(ScenarioSpec spec, std::size_t shards, double duration_s) {
   util::LogConfig::set_level(util::LogLevel::kError);
-  Testbed bed{std::move(spec), TestbedOptions{shards, retain_trace}};
+  Testbed bed{std::move(spec), TestbedOptions{shards}};
   bed.start();
   bed.run_for(sim::seconds_f(duration_s));
   RunResult result;
@@ -109,22 +108,6 @@ TEST(ShardParity, MetroFleetReduced) {
   expect_verification_parity(seq, par, "metro_fleet");
 }
 
-// Retention decides only whether points are kept: the digest is streamed
-// on append either way, and the shard digests sum to the sequential one.
-TEST(DigestParity, RetentionOnAndOffGiveTheSameDigest) {
-  const RunResult seq_off = run(canned_scenario("flash_crowd", 2), 1, 6.0);
-  const RunResult seq_on =
-      run(canned_scenario("flash_crowd", 2), 1, 6.0, /*retain_trace=*/true);
-  const RunResult par_off = run(canned_scenario("flash_crowd", 2), 4, 6.0);
-  const RunResult par_on =
-      run(canned_scenario("flash_crowd", 2), 4, 6.0, /*retain_trace=*/true);
-  ASSERT_GT(par_off.shards, 1u);
-  EXPECT_NE(seq_off.digest, 0u);
-  EXPECT_EQ(seq_off.digest, seq_on.digest);
-  EXPECT_EQ(seq_off.digest, par_off.digest);
-  EXPECT_EQ(seq_off.digest, par_on.digest);
-}
-
 // ---------------------------------------------------------------------------
 // Shard assignment: radio islands
 // ---------------------------------------------------------------------------
@@ -139,8 +122,7 @@ TEST(ShardAssignment, RadioCoupledNetworksStayTogether) {
 TEST(ShardAssignment, IsolatedNetworksSplitContiguously) {
   Testbed bed{metro_fleet(8, 64, 1), TestbedOptions{4}};
   EXPECT_EQ(bed.shard_count(), 4u);
-  // Contiguous, monotone assignment (the retained trace merge tie-break
-  // relies on shard order == network order).
+  // Contiguous, monotone assignment: shard order == network order.
   std::size_t prev = 0;
   for (std::size_t n = 0; n < bed.network_count(); ++n) {
     const std::size_t s = bed.shard_of_network(n);

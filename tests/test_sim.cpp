@@ -710,50 +710,12 @@ TEST(OneShotTimer, DisarmCancels) {
 // Trace
 // ---------------------------------------------------------------------------
 
-TEST(Trace, AppendsAndReadsBack) {
-  Trace trace;
-  trace.append("s1", SimTime{10}, 1.5);
-  trace.append("s1", SimTime{20}, 2.5);
-  trace.append("s2", SimTime{10}, -1.0);
-  EXPECT_TRUE(trace.has("s1"));
-  EXPECT_FALSE(trace.has("s3"));
-  EXPECT_EQ(trace.series("s1").size(), 2u);
-  EXPECT_EQ(trace.total_points(), 3u);
-  EXPECT_EQ(trace.series_names(), (std::vector<std::string>{"s1", "s2"}));
-}
-
-TEST(Trace, UnknownSeriesThrows) {
-  Trace trace;
-  EXPECT_THROW((void)trace.series("nope"), std::out_of_range);
-}
-
-TEST(Trace, WindowAggregates) {
-  Trace trace;
-  for (int i = 0; i < 10; ++i) {
-    trace.append("v", SimTime{i * 10}, static_cast<double>(i));
-  }
-  // [20, 50) -> values 2, 3, 4.
-  EXPECT_DOUBLE_EQ(trace.sum_in("v", SimTime{20}, SimTime{50}), 9.0);
-  EXPECT_DOUBLE_EQ(trace.mean_in("v", SimTime{20}, SimTime{50}), 3.0);
-  EXPECT_DOUBLE_EQ(trace.mean_in("v", SimTime{1000}, SimTime{2000}), 0.0);
-  EXPECT_DOUBLE_EQ(trace.sum_in("absent", SimTime{0}, SimTime{10}), 0.0);
-}
-
-TEST(Trace, CsvLongFormat) {
-  Trace trace;
-  trace.append("a", SimTime{seconds(1).ns()}, 2.0);
-  std::ostringstream out;
-  trace.write_csv(out);
-  EXPECT_EQ(out.str(), "time_s,series,value\n1,a,2\n");
-}
-
 TEST(Trace, ClearResets) {
   Trace trace;
   trace.append("a", SimTime{1}, 1.0);
   trace.clear();
   EXPECT_EQ(trace.total_points(), 0u);
   EXPECT_EQ(trace.digest(), 0u);
-  EXPECT_FALSE(trace.has("a"));
 }
 
 struct DigestPoint {
@@ -794,7 +756,7 @@ TEST(Trace, DigestsOfSplitTracesSumToTheWhole) {
   }
   EXPECT_EQ(even.digest() + odd.digest(), whole.digest());
 
-  Trace merged(/*retain=*/false);
+  Trace merged;
   merged.merge_shards({&even, &odd});
   EXPECT_EQ(merged.digest(), whole.digest());
   EXPECT_EQ(merged.total_points(), whole.total_points());
@@ -823,51 +785,11 @@ TEST(Trace, DigestSeesOneFlippedBit) {
 TEST(Trace, HandleAndNameAppendsDigestAlike) {
   Trace by_name;
   by_name.append("s", SimTime{7}, 3.0);
-  Trace by_handle(/*retain=*/false);
-  const SeriesId s = by_handle.intern("s");
+  Trace by_handle;
+  const SeriesId s = Trace::intern("s");
   by_handle.append(s, SimTime{7}, 3.0);
   EXPECT_EQ(by_name.digest(), by_handle.digest());
   EXPECT_EQ(by_handle.total_points(), 1u);
-}
-
-TEST(Trace, ReadingWithoutRetentionThrows) {
-  Trace trace(/*retain=*/false);
-  append_all(trace, kDigestPoints);
-  EXPECT_EQ(trace.total_points(), kDigestPoints.size());
-  EXPECT_THROW((void)trace.series("a"), std::logic_error);
-  EXPECT_THROW((void)trace.has("a"), std::logic_error);
-  EXPECT_THROW((void)trace.mean_in("a", SimTime{0}, SimTime{100}),
-               std::logic_error);
-  EXPECT_THROW((void)trace.series_names(), std::logic_error);
-  std::ostringstream out;
-  EXPECT_THROW(trace.write_csv(out), std::logic_error);
-  try {
-    (void)trace.sum_in("a", SimTime{0}, SimTime{100});
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("retain_trace"), std::string::npos);
-  }
-}
-
-TEST(Trace, MergeShardsOrdersRetainedPointsByTimeThenShard) {
-  Trace first;
-  first.append("shared", SimTime{10}, 1.0);
-  first.append("shared", SimTime{30}, 3.0);
-  first.append("mine", SimTime{5}, 0.5);
-  Trace second;
-  second.append("shared", SimTime{10}, 2.0);
-  second.append("shared", SimTime{20}, 4.0);
-  Trace merged;
-  merged.merge_shards({&first, &second});
-  const auto& shared = merged.series("shared");
-  ASSERT_EQ(shared.size(), 4u);
-  EXPECT_EQ(shared[0].value, 1.0);  // same instant: shard 0 first
-  EXPECT_EQ(shared[1].value, 2.0);
-  EXPECT_EQ(shared[2].value, 4.0);
-  EXPECT_EQ(shared[3].value, 3.0);
-  EXPECT_EQ(merged.series("mine").size(), 1u);
-  EXPECT_EQ(merged.total_points(), 5u);
-  EXPECT_EQ(merged.digest(), first.digest() + second.digest());
 }
 
 }  // namespace

@@ -382,7 +382,16 @@ TEST(SegmentErrors, OverlongVarintIsCorrupt) {
   ASSERT_EQ(bytes[14], 8);  // the summary count (see above)
   bytes[14] = 0x88;
   bytes.insert(bytes.begin() + 15, 0x00);
-  EXPECT_FALSE(Segment::parse(bytes).ok());
+  const auto summary = Segment::parse(bytes);
+  ASSERT_FALSE(summary.ok());
+  EXPECT_EQ(summary.error().fault, SegmentFault::kCorrupt);
+  EXPECT_EQ(summary.error().detail, "summary block: over-long varint");
+  // The same count cut off after its continuation byte is truncation.
+  bytes.resize(15);
+  const auto cut = Segment::parse(bytes);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.error().fault, SegmentFault::kTruncated);
+  EXPECT_EQ(cut.error().detail, "summary block: truncated varint");
 
   // In a column body, parse() does not look; decoding must.
   auto column = hand_built_segment({3, 3, 3, 3, 3, 3, 3});
@@ -401,6 +410,8 @@ TEST(SegmentErrors, OverlongVarintIsCorrupt) {
   EXPECT_FALSE(cur.next().has_value());
   ASSERT_TRUE(cur.error().has_value());
   EXPECT_EQ(cur.error()->fault, SegmentFault::kCorrupt);
+  EXPECT_EQ(cur.error()->detail,
+            "timestamp column: over-long varint at record 0");
   EXPECT_FALSE(res.value().fold<columns::kAll>([](const StoredRecord&) {}));
 }
 
