@@ -5,7 +5,7 @@
 // cleaning robot roams across floors during the run.  Demonstrates:
 //  * many concurrent TDMA-slotted reporters per aggregator,
 //  * building-level energy accounting from the shared chain,
-//  * Grafana-style CSV export of every trace series.
+//  * Grafana-style CSV export of each floor's store, 1 s windows per device.
 
 #include <fstream>
 #include <iostream>

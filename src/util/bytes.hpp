@@ -106,10 +106,11 @@ class ByteReader {
       std::size_t n);
   /// read_varint's refusals.  Only kVarintTruncated means the input ran
   /// out; the other two are malformed encodings.  Callers classify a
-  /// reason by comparing against these pointers.
-  static constexpr const char* kVarintTruncated = "truncated varint";
-  static constexpr const char* kVarintOverlong = "over-long varint";
-  static constexpr const char* kVarintOverflow = "varint overflows 64 bits";
+  /// reason by comparing against these pointers: each is one inline array,
+  /// so it has one address in every translation unit.
+  static constexpr char kVarintTruncated[] = "truncated varint";
+  static constexpr char kVarintOverlong[] = "over-long varint";
+  static constexpr char kVarintOverflow[] = "varint overflows 64 bits";
 
   /// The one LEB128 varint decoder, as strict as FieldReader: the encoding
   /// must be minimal (no trailing 0x00 group) and fit 64 bits (a tenth

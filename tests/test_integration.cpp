@@ -85,14 +85,16 @@ TEST(Figure6, ReportedTraceShowsIdleGapThenBackfill) {
     return master.query_engine().aggregate(held).merged.count;
   };
   const std::uint64_t held_at_depart = held_records();
+  const SimTime settled = depart + seconds(40);
   while (dev.handshakes().size() < 2) {
+    ASSERT_LT(bed.kernel().now(), settled) << "no temporary membership";
     ASSERT_TRUE(bed.kernel().step());
     ASSERT_EQ(held_records(), held_at_depart)
         << "data arrived at the master before the temporary membership, t="
         << bed.kernel().now().to_seconds();
     ASSERT_EQ(master.stats().roam_records_received, 0u);
   }
-  bed.run_for(depart + seconds(40) - bed.kernel().now());
+  bed.run_for(settled - bed.kernel().now());
 
   // The master's stored view of the device (what Figure 6 plots):
   // measurement timestamps never cover the transit window...
@@ -129,8 +131,10 @@ TEST(Figure6, VerificationWindowsMatchAStoreScanOracle) {
   // the window read it.  The oracle is each device's mean current over
   // [window_start, window_end), live records drawn at the aggregator's own
   // network only.  Buffered records describe past windows; counting them
-  // (or another network's records, or a record stamped past the window)
-  // moves the sum.
+  // (or another network's records, or records from before the window)
+  // moves the sum.  No record stamped at or past window_end has arrived
+  // when the window closes, so a window read running past window_end reads
+  // the same records and this oracle cannot tell it apart.
   Testbed bed{paper_figure4(2020)};
   bed.start();
   bed.kernel().schedule_at(SimTime::zero() + seconds(60), [&bed] {
